@@ -1,10 +1,11 @@
 // Ablation bench: cost of each design choice in the CMT-bone step.
 //
-// DESIGN.md calls out the tunable pieces — kernel loop-transformation
-// variant, dealiasing, gs_op dssum, gather-scatter method, time
-// integrator. This bench toggles one at a time against a fixed baseline
-// and reports the per-step cost delta, quantifying what each feature buys
-// or costs.
+// DESIGN.md calls out the tunable pieces — dealiasing, gs_op dssum,
+// gather-scatter method, face-exchange path, time integrator. This bench
+// toggles one at a time against the production configuration and reports
+// the per-step cost delta, quantifying what each feature buys or costs.
+// (The §V kernel loop transformations are measured by
+// fig5_fig6_derivative_opt and kernel_nsweep.)
 //
 // Usage: ablation_features [--ranks 4] [--n 10] [--elems 4] [--steps 3]
 
@@ -57,7 +58,6 @@ int main(int argc, char** argv) {
   core::Config base;
   base.n = cli.get_int("n", 10);
   base.ex = base.ey = base.ez = cli.get_int("elems", 4);
-  base.variant = kernels::GradVariant::kFusedUnrolled;
   base.use_dssum = true;
   base.dealias = false;
   base.integrator = core::TimeIntegrator::kRk3Ssp;
@@ -68,16 +68,8 @@ int main(int argc, char** argv) {
     std::function<void(core::Config&)> apply;
   };
   const std::vector<Variation> variations = {
-      {"baseline (fused+unrolled, pairwise, dssum, rk3)", [](core::Config&) {}},
-      {"kernel: basic loops", [](core::Config& c) {
-         c.variant = kernels::GradVariant::kBasic;
-       }},
-      {"kernel: blocked (mxm-style)", [](core::Config& c) {
-         c.variant = kernels::GradVariant::kBlocked;
-       }},
-      {"fused divergence (div3)", [](core::Config& c) {
-         c.fused_divergence = true;
-       }},
+      {"baseline (production kernel, pairwise, dssum, rk3)",
+       [](core::Config&) {}},
       {"dealias round-trip on", [](core::Config& c) { c.dealias = true; }},
       {"dssum off (pure DG)", [](core::Config& c) { c.use_dssum = false; }},
       {"gs: crystal router", [](core::Config& c) {

@@ -10,27 +10,26 @@
 //
 // Usage: fig5_fig6_derivative_opt [--nel 200] [--steps 100] [--n 10]
 //        (--nel 1563 --steps 1000 for the paper's exact workload)
-//        [--json FILE] instead sweeps N=5..25 timing every kernel-dispatch
-//        backend (scalar, fixed-N, SIMD, SIMD+FMA, batched) on the
-//        derivative contraction shapes, reports GFLOP/s and % of the
-//        measured machine peak per backend, and writes JSON. Fails loudly
-//        (exit 1) if any dispatched backend loses to scalar across the
-//        sweep, printing the losing variant and every N where it lost.
-//        [--smoke] autotunes a subset of N and gates that the autotuned
-//        selection is not slower than forced-scalar (the CI smoke check).
+//        [--json FILE] instead sweeps N=5..25 timing the production
+//        contraction path (kernels::grad_dispatch) against the scalar
+//        reference on the derivative contraction shapes, reports GFLOP/s
+//        and % of the measured machine peak for each, and writes JSON.
+//        Fails loudly (exit 1) if the production path loses to scalar
+//        across the sweep, printing every N where it lost.
+//        [--smoke] gates that the production path is not slower than
+//        scalar on a subset of N (the CI smoke check).
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/gradient.hpp"
-#include "kernels/mxm.hpp"
 #include "prof/perf_counters.hpp"
 #include "prof/roofline.hpp"
 #include "prof/timer.hpp"
@@ -91,14 +90,13 @@ Measurement measure(cmtbone::kernels::GradVariant v, int dir, const double* d,
   return m;
 }
 
-// --- backend sweep (--json) -------------------------------------------------
+// --- production-vs-scalar sweep (--json) ------------------------------------
 //
-// Times every kernel-dispatch backend on the derivative contraction pair
-// (dudr + dudt over a batch of elements, the shapes the solver routes
-// through mxm), via the same grad_backend entry point the dispatch layer
-// uses in production. Best-of-k timing; element batch scaled so every N
-// does comparable work. Reports GFLOP/s and percent of the measured
-// machine compute peak per backend.
+// Times the production contraction path and the scalar reference on the
+// derivative contraction pair (dudr + dudt over a batch of elements, the
+// shapes the solver routes through mxm). Best-of-k timing; element batch
+// scaled so every N does comparable work.
+
 double best_of_sweeps(const std::function<void()>& body) {
   body();  // warm up
   double best = 1e300;
@@ -110,10 +108,50 @@ double best_of_sweeps(const std::function<void()>& body) {
   return best;
 }
 
-int run_backend_json_sweep(const std::string& path) {
+using GradFn = void (*)(int dir, const double* d, const double* u,
+                        double* out, int n, int nel);
+
+void scalar_grad(int dir, const double* d, const double* u, double* out,
+                 int n, int nel) {
+  using namespace cmtbone::kernels;
+  switch (dir) {
+    case 0: grad_r(GradVariant::kBasic, d, u, out, n, nel); break;
+    case 1: grad_s(GradVariant::kBasic, d, u, out, n, nel); break;
+    default: grad_t(GradVariant::kBasic, d, u, out, n, nel); break;
+  }
+}
+
+struct Path {
+  const char* name;
+  GradFn grad;
+};
+
+// Index 0 is the reference every other path is gated against.
+const Path kPaths[] = {
+    {"scalar", &scalar_grad},
+    {"batched", &cmtbone::kernels::grad_dispatch},
+};
+
+// Seconds per r+t sweep of each path on a random batch at order n.
+std::vector<double> time_paths(int n, int nel, std::uint64_t seed) {
+  const std::size_t epts = std::size_t(n) * n * n;
+  cmtbone::util::SplitMix64 rng(seed);
+  std::vector<double> d(std::size_t(n) * n), u(epts * nel),
+      scratch(epts * nel);
+  for (double& x : d) x = rng.uniform(-1, 1);
+  for (double& x : u) x = rng.uniform(-1, 1);
+  std::vector<double> secs;
+  for (const Path& p : kPaths) {
+    secs.push_back(best_of_sweeps([&] {
+      p.grad(0, d.data(), u.data(), scratch.data(), n, nel);
+      p.grad(2, d.data(), u.data(), scratch.data(), n, nel);
+    }));
+  }
+  return secs;
+}
+
+int run_json_sweep(const std::string& path) {
   using namespace cmtbone;
-  using kernels::Backend;
-  const auto& backends = kernels::all_backends();
   const prof::Machine& mach = prof::machine();
 
   FILE* out = std::fopen(path.c_str(), "w");
@@ -124,187 +162,104 @@ int run_backend_json_sweep(const std::string& path) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"fig5_fig6_derivative_opt --json\",\n"
-               "  \"compare\": \"kernel dispatch backends (scalar, fixed-n, "
-               "simd, simd-fma, batched) on the derivative contraction "
-               "pair\",\n"
+               "  \"compare\": \"production contraction path (batched) vs "
+               "the scalar reference on the derivative contraction pair\",\n"
                "  \"shapes\": \"per element: dudr (NxN * NxN^2) + dudt "
-               "(N^2xN * NxN) via kernels::grad_backend\",\n"
+               "(N^2xN * NxN)\",\n"
                "  \"timing\": \"best of 7 samples, 20 sweeps per sample\",\n"
                "  \"machine\": {\"isa\": \"%s\", \"peak_gflops\": %.2f, "
                "\"mem_gbytes_per_s\": %.2f},\n"
                "  \"results\": [\n",
                mach.isa.c_str(), mach.peak_gflops, mach.mem_gbytes);
 
-  std::printf("=== kernel backend sweep (isa %s, peak %.1f GFLOP/s, "
+  std::printf("=== production vs scalar sweep (isa %s, peak %.1f GFLOP/s, "
               "mem %.1f GB/s) ===\n",
               mach.isa.c_str(), mach.peak_gflops, mach.mem_gbytes);
 
-  // Per-backend log-speedup accumulators vs scalar, plus every N where a
-  // backend lost — the loud-failure check gates each dispatched backend and
-  // names the loser, not just fixed-N.
-  std::vector<double> log_speedup(backends.size(), 0.0);
-  std::vector<std::vector<int>> losses(backends.size());
-  double log_simd_over_fixed_5_16 = 0.0;
-  int points_5_16 = 0;
+  double log_speedup = 0.0;
+  std::vector<int> losses;
   int sweep_points = 0;
-  bool first = true;
-
   for (int n = 5; n <= 25; ++n) {
     const int nel = std::max(4, 4000 / (n * n));
-    const std::size_t epts = std::size_t(n) * n * n;
-    util::SplitMix64 rng(7 * n + 1);
-    std::vector<double> d(std::size_t(n) * n), u(epts * nel),
-        scratch(epts * nel);
-    for (double& x : d) x = rng.uniform(-1, 1);
-    for (double& x : u) x = rng.uniform(-1, 1);
-
     // r + t derivative of the whole batch: 2 x 2 N^4 nel flops.
     const double flops = 2.0 * kernels::grad_flops(n, nel);
-    const double bytes = 2.0 * kernels::grad_bytes(n, nel);
-    const double intensity = flops / bytes;
+    const double intensity = flops / (2.0 * kernels::grad_bytes(n, nel));
+    const std::vector<double> secs = time_paths(n, nel, 7 * n + 1);
 
-    std::vector<double> secs(backends.size());
-    for (std::size_t bi = 0; bi < backends.size(); ++bi) {
-      const Backend b = backends[bi];
-      secs[bi] = best_of_sweeps([&] {
-        kernels::grad_backend(b, 0, d.data(), u.data(), scratch.data(), n,
-                              nel);
-        kernels::grad_backend(b, 2, d.data(), u.data(), scratch.data(), n,
-                              nel);
-      });
-    }
-
-    const double scalar_s = secs[0];
-    double fixed_s = scalar_s, best_simd_s = 1e300;
-    std::size_t best_bi = 0;
     std::fprintf(out,
                  "%s    {\"n\": %d, \"nel\": %d, \"intensity\": %.3f, "
                  "\"backends\": {",
-                 first ? "" : ",\n", n, nel, intensity);
-    first = false;
+                 n == 5 ? "" : ",\n", n, nel, intensity);
     std::printf("  N=%2d nel=%4d:", n, nel);
-    for (std::size_t bi = 0; bi < backends.size(); ++bi) {
-      const Backend b = backends[bi];
-      const double gflops = flops / secs[bi] / 1e9;
-      const double speedup = scalar_s / secs[bi];
+    for (std::size_t i = 0; i < secs.size(); ++i) {
+      const double gflops = flops / secs[i] / 1e9;
+      const double speedup = secs[0] / secs[i];
       std::fprintf(out,
                    "%s\"%s\": {\"seconds\": %.9e, \"gflops\": %.3f, "
                    "\"pct_peak\": %.2f, \"speedup_vs_scalar\": %.3f}",
-                   bi == 0 ? "" : ", ", kernels::backend_name(b), secs[bi],
-                   gflops, prof::percent_of_peak(mach, gflops), speedup);
-      std::printf(" %s %.1fGF(%2.0f%%)", kernels::backend_name(b), gflops,
+                   i == 0 ? "" : ", ", kPaths[i].name, secs[i], gflops,
+                   prof::percent_of_peak(mach, gflops), speedup);
+      std::printf(" %s %.1fGF(%2.0f%%)", kPaths[i].name, gflops,
                   prof::percent_of_peak(mach, gflops));
-      if (secs[bi] < secs[best_bi]) best_bi = bi;
-      if (b == Backend::kFixedN) fixed_s = secs[bi];
-      if (b == Backend::kSimd || b == Backend::kSimdFma ||
-          b == Backend::kBatched) {
-        best_simd_s = std::min(best_simd_s, secs[bi]);
-      }
-      if (bi > 0) {
-        log_speedup[bi] += std::log(speedup);
-        if (speedup < 1.0) losses[bi].push_back(n);
-      }
     }
-    std::fprintf(out, "}, \"best\": \"%s\"}",
-                 kernels::backend_name(backends[best_bi]));
-    std::printf("  best=%s\n", kernels::backend_name(backends[best_bi]));
-    if (n >= 5 && n <= 16) {
-      log_simd_over_fixed_5_16 += std::log(fixed_s / best_simd_s);
-      ++points_5_16;
-    }
+    std::fprintf(out, "}}");
+    std::printf("\n");
+    const double speedup = secs[0] / secs[1];
+    log_speedup += std::log(speedup);
+    if (speedup < 1.0) losses.push_back(n);
     ++sweep_points;
   }
 
-  std::fprintf(out, "\n  ],\n  \"geomean_speedup_vs_scalar\": {");
-  std::printf("geomean speedup vs scalar:");
-  for (std::size_t bi = 1; bi < backends.size(); ++bi) {
-    const double g = std::exp(log_speedup[bi] / sweep_points);
-    std::fprintf(out, "%s\"%s\": %.3f", bi == 1 ? "" : ", ",
-                 kernels::backend_name(backends[bi]), g);
-    std::printf("  %s %.2fx", kernels::backend_name(backends[bi]), g);
-  }
-  const double simd_over_fixed =
-      std::exp(log_simd_over_fixed_5_16 / points_5_16);
-  std::fprintf(out,
-               "},\n  \"geomean_best_simd_over_fixed_n5_16\": %.3f\n}\n",
-               simd_over_fixed);
+  const double g = std::exp(log_speedup / sweep_points);
+  std::fprintf(out, "\n  ],\n  \"geomean_speedup_vs_scalar\": %.3f\n}\n",
+               g);
   std::fclose(out);
-  std::printf("\ngeomean best-SIMD speedup over fixed-N (N=5..16): %.2fx\n",
-              simd_over_fixed);
+  std::printf("geomean speedup vs scalar: %.2fx\n", g);
   std::printf("(json written to %s)\n", path.c_str());
 
-  // Every dispatched backend exists purely as an optimization over the
-  // scalar reference; a backend that loses across the sweep means the
-  // build is misconfigured (e.g. a TU compiled without its intended flags)
-  // and the numbers would silently misrepresent the kernels. Fail loudly,
-  // naming the variant and each N where it lost.
-  int rc = 0;
-  for (std::size_t bi = 1; bi < backends.size(); ++bi) {
-    const double g = std::exp(log_speedup[bi] / sweep_points);
-    if (g < 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: backend '%s' is slower than scalar across the "
-                   "sweep (geomean %.3fx < 1.0); losing N:",
-                   kernels::backend_name(backends[bi]), g);
-      for (int n : losses[bi]) std::fprintf(stderr, " %d", n);
-      std::fprintf(stderr, "\n");
-      rc = 1;
-    }
-  }
-  if (simd_over_fixed < 1.0) {
+  // The production path exists purely as an optimization over the scalar
+  // reference; losing across the sweep means the build is misconfigured
+  // (e.g. a TU compiled without its intended flags) and the numbers would
+  // silently misrepresent the kernels. Fail loudly, naming each losing N.
+  if (g < 1.0) {
     std::fprintf(stderr,
-                 "FAIL: best SIMD/batched backend loses to fixed-N on the "
-                 "paper range N=5..16 (geomean %.3fx < 1.0)\n",
-                 simd_over_fixed);
-    rc = 1;
+                 "FAIL: the production path is slower than scalar across the "
+                 "sweep (geomean %.3fx < 1.0); losing N:",
+                 g);
+    for (int n : losses) std::fprintf(stderr, " %d", n);
+    std::fprintf(stderr, "\n");
+    return 1;
   }
-  return rc;
+  return 0;
 }
 
-// --- autotune smoke gate (--smoke) ------------------------------------------
+// --- smoke gate (--smoke) ----------------------------------------------------
 //
-// CI check: autotune a few paper-range sizes, install the table, and verify
-// the dispatched (autotuned) selection is not slower than forced-scalar on
-// an independent re-measurement. The 0.9 floor absorbs timer noise on a
-// shared host; a genuine inversion (mis-tuned table, broken TU flags)
-// lands far below it.
+// CI check: the production path must not be slower than scalar on a few
+// paper-range sizes. The 0.9 floor absorbs timer noise on a shared host; a
+// genuine inversion (broken TU flags, wrong ISA) lands far below it.
 int run_smoke() {
   using namespace cmtbone;
   const std::vector<int> ns = {5, 8, 10, 13, 16};
-  kernels::TuneTable table = kernels::autotune(ns);
-  kernels::apply_tune_table(table);
-  std::printf("=== autotune smoke (isa %s) ===\n", kernels::isa_name());
+  std::printf("=== production-vs-scalar smoke (isa %s) ===\n",
+              kernels::isa_name());
 
   double log_sum = 0.0;
   for (int n : ns) {
-    const int nel = std::max(4, 2000 / (n * n));
-    const std::size_t epts = std::size_t(n) * n * n;
-    util::SplitMix64 rng(13 * n + 5);
-    std::vector<double> d(std::size_t(n) * n), u(epts * nel),
-        scratch(epts * nel);
-    for (double& x : d) x = rng.uniform(-1, 1);
-    for (double& x : u) x = rng.uniform(-1, 1);
-    auto time_backend = [&](std::optional<kernels::Backend> force) {
-      kernels::ScopedBackendForce guard(force);
-      return best_of_sweeps([&] {
-        kernels::grad_dispatch(0, d.data(), u.data(), scratch.data(), n, nel);
-        kernels::grad_dispatch(2, d.data(), u.data(), scratch.data(), n, nel);
-      });
-    };
-    const double scalar_s = time_backend(kernels::Backend::kScalar);
-    const double tuned_s = time_backend(std::nullopt);
-    const double speedup = scalar_s / tuned_s;
-    std::printf("  N=%2d tuned=%s  %.2fx vs scalar\n", n,
+    const std::vector<double> secs =
+        time_paths(n, std::max(4, 2000 / (n * n)), 13 * n + 5);
+    const double speedup = secs[0] / secs[1];
+    std::printf("  N=%2d %s  %.2fx vs scalar\n", n,
                 kernels::backend_name(kernels::selected_backend(n)), speedup);
     log_sum += std::log(speedup);
   }
   const double geomean = std::exp(log_sum / double(ns.size()));
-  std::printf("geomean autotuned speedup vs scalar: %.2fx\n", geomean);
+  std::printf("geomean production speedup vs scalar: %.2fx\n", geomean);
   if (geomean < 0.9) {
     std::fprintf(stderr,
-                 "FAIL: autotuned kernel selection is slower than scalar "
-                 "(geomean %.3fx < 0.9) — tuning picked a mis-built or "
-                 "mis-measured backend\n",
+                 "FAIL: the production kernel is slower than scalar "
+                 "(geomean %.3fx < 0.9) — a mis-built SIMD TU or a wrong "
+                 "ISA pick\n",
                  geomean);
     return 1;
   }
@@ -322,9 +277,8 @@ int main(int argc, char** argv) {
       .describe("n", "GLL points per direction (default 10)")
       .describe("csv-dir", "also write result tables as CSV here")
       .describe("json",
-                "sweep N=5..25 over every kernel backend and write JSON here")
-      .describe("smoke",
-                "autotune a few N and gate autotuned-vs-scalar (CI check)");
+                "sweep N=5..25, production path vs scalar, write JSON here")
+      .describe("smoke", "gate production-vs-scalar on a few N (CI check)");
   if (cli.help_requested()) {
     std::printf("%s", cli.usage().c_str());
     return 0;
@@ -335,7 +289,7 @@ int main(int argc, char** argv) {
     return run_smoke();
   }
   if (cli.has("json")) {
-    return run_backend_json_sweep(cli.get("json", "BENCH_kernels.json"));
+    return run_json_sweep(cli.get("json", "BENCH_kernels.json"));
   }
 
   const int nel = cli.get_int("nel", 200);

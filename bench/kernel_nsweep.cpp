@@ -1,6 +1,6 @@
 // §V text: google-benchmark N-sweep of the derivative kernels over the
 // paper's order range ("with N ranging between 5 and 25") and the mxm /
-// dealiasing building blocks — including every kernel-dispatch backend
+// dealiasing building blocks — including the production contraction path
 // (kernels/dispatch.hpp). Each flop-counted benchmark also reports
 // pct_peak: its GFLOP/s as a percentage of the measured machine compute
 // roof (prof/roofline.hpp).
@@ -20,7 +20,6 @@
 
 namespace {
 
-using cmtbone::kernels::Backend;
 using cmtbone::kernels::GradVariant;
 
 // items_processed = flops (the historical convention of this sweep), plus
@@ -74,13 +73,13 @@ void bench_grad(benchmark::State& state, GradVariant v, int dir) {
   set_flop_counters(state, cmtbone::kernels::grad_flops(n, nel));
 }
 
-void bench_grad_backend(benchmark::State& state, Backend b, int dir) {
+void bench_grad_production(benchmark::State& state, int dir) {
   const int n = int(state.range(0));
   const int nel = 32;
   Workload w(n, nel);
   for (auto _ : state) {
-    cmtbone::kernels::grad_backend(b, dir, w.op.d.data(), w.u.data(),
-                                   w.out.data(), n, nel);
+    cmtbone::kernels::grad_dispatch(dir, w.op.d.data(), w.u.data(),
+                                    w.out.data(), n, nel);
     benchmark::DoNotOptimize(w.out.data());
   }
   set_flop_counters(state, cmtbone::kernels::grad_flops(n, nel));
@@ -101,42 +100,9 @@ void GradTunedT(benchmark::State& s) {
 void GradBlockedR(benchmark::State& s) {
   bench_grad(s, GradVariant::kBlocked, 0);
 }
-void GradFixedNR(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kFixedN, 0);
-}
-void GradFixedNS(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kFixedN, 1);
-}
-void GradFixedNT(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kFixedN, 2);
-}
-void GradSimdR(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimd, 0);
-}
-void GradSimdS(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimd, 1);
-}
-void GradSimdT(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimd, 2);
-}
-void GradSimdFmaR(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimdFma, 0);
-}
-void GradSimdFmaS(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimdFma, 1);
-}
-void GradSimdFmaT(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimdFma, 2);
-}
-void GradBatchedR(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kBatched, 0);
-}
-void GradBatchedS(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kBatched, 1);
-}
-void GradBatchedT(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kBatched, 2);
-}
+void GradBatchedR(benchmark::State& s) { bench_grad_production(s, 0); }
+void GradBatchedS(benchmark::State& s) { bench_grad_production(s, 1); }
+void GradBatchedT(benchmark::State& s) { bench_grad_production(s, 2); }
 
 void Div3Fused(benchmark::State& state) {
   const int n = int(state.range(0));
@@ -206,15 +172,6 @@ BENCHMARK(GradTunedR)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedS)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedT)->DenseRange(5, 25, 5);
 BENCHMARK(GradBlockedR)->DenseRange(5, 25, 5);
-BENCHMARK(GradFixedNR)->DenseRange(5, 25, 5);
-BENCHMARK(GradFixedNS)->DenseRange(5, 25, 5);
-BENCHMARK(GradFixedNT)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdR)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdS)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdT)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdFmaR)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdFmaS)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdFmaT)->DenseRange(5, 25, 5);
 BENCHMARK(GradBatchedR)->DenseRange(5, 25, 5);
 BENCHMARK(GradBatchedS)->DenseRange(5, 25, 5);
 BENCHMARK(GradBatchedT)->DenseRange(5, 25, 5);

@@ -8,13 +8,10 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "balance/cost_model.hpp"
 #include "gs/gather_scatter.hpp"
-#include "kernels/dispatch.hpp"
-#include "kernels/gradient.hpp"
 #include "mesh/geometry.hpp"
 
 namespace cmtbone::core {
@@ -105,23 +102,7 @@ struct Config {
   Physics physics = Physics::kProxyAdvection;
   FaceBackend face_backend = FaceBackend::kDirect;
   TimeIntegrator integrator = TimeIntegrator::kRk3Ssp;
-  kernels::GradVariant variant = kernels::GradVariant::kDispatch;
   gs::Method gs_method = gs::Method::kPairwise;
-
-  /// Concrete value: force that kernel backend (scalar / fixed-N / SIMD /
-  /// batched, see kernels/dispatch.hpp) process-wide at Driver
-  /// construction. Kernel selection is process-global shared state — the
-  /// kernels are stateless and every in-process rank uses the same ones —
-  /// so the last Driver constructed wins. nullopt (default) leaves the
-  /// process selection alone: CMTBONE_KERNEL_BACKEND, an applied tuning
-  /// table, or the built-in default.
-  std::optional<kernels::Backend> kernel_backend;
-
-  /// Compute the volume term with the single-sweep fused divergence kernel
-  /// (kernels::div3) instead of three separate derivative passes — the
-  /// next optimization step beyond §V's per-derivative transformations.
-  /// When set, `variant` is ignored for the volume term.
-  bool fused_divergence = false;
 
   /// Overlap the nearest-neighbor surface exchange with element compute:
   /// the exchange is split into begin/finish halves and the rank's interior

@@ -10,7 +10,7 @@
 #include "core/flux.hpp"
 #include "io/checkpoint.hpp"
 #include "io/vtk.hpp"
-#include "kernels/div.hpp"
+#include "kernels/dispatch.hpp"
 #include "kernels/gradient.hpp"
 #include "kernels/tensor.hpp"
 #include "kernels/vecops.hpp"
@@ -129,10 +129,6 @@ Driver::Driver(comm::Comm& comm, const Config& config)
       layout_(mesh::ElementLayout::block(spec_, comm.rank())),
       ops_(sem::Operators::build(config.n)),
       threads_(parallel::resolve_threads(config.threads_per_rank)) {
-  if (config_.kernel_backend) {
-    kernels::set_forced_backend(*config_.kernel_backend);
-  }
-
   balance::CostModelConfig cm;
   cm.mode = config_.balance_cost_mode;
   cm.ewma = config_.balance_ewma;
@@ -231,12 +227,6 @@ void Driver::rebuild_topology() {
   grad_scratch_.assign(pts_, 0.0);
   if (config_.particles_per_rank > 0) {
     for (auto& buf : carrier_) buf.assign(pts_, 0.0);
-  }
-  if (config_.fused_divergence) {
-    for (auto& buf : flux_fused_) buf.assign(pts_, 0.0);
-    // div3_dispatch scratch: two gradient blocks per element, indexed by
-    // 2*base so parallel element ranges stay disjoint.
-    div_work_.assign(2 * pts_, 0.0);
   }
   myfaces_.assign(mesh::face_array_size(n, nel) * nf, 0.0);
   nbrfaces_.assign(mesh::face_array_size(n, nel) * nf, 0.0);
@@ -523,52 +513,16 @@ void Driver::volume_term_range(const std::vector<std::vector<double>>& u,
     const std::array<double, 3> eh = {elem_h(e0, 0), elem_h(e0, 1),
                                       elem_h(e0, 2)};
 
-    if (config_.fused_divergence) {
-      // Fused path: evaluate the three axis fluxes of one field, then a
-      // single div3 sweep accumulates the scaled divergence. (For Euler
-      // this re-derives the flux per field — the option trades that
-      // pointwise redundancy for one output sweep instead of three.)
+    for (int axis = 0; axis < 3; ++axis) {
+      // Pointwise axis flux of every field.
+      system_->flux_range(uptr, fptr, base, base + cnt, axis);
+      // d(flux)/d(axis) through the one contraction path.
+      const double scale = 2.0 / eh[axis];
       for (int f = 0; f < nf; ++f) {
-        for (int axis = 0; axis < 3; ++axis) {
-          system_->flux_range_field(uptr, flux_fused_[axis].data(), base,
-                                    base + cnt, axis, f);
-        }
-        kernels::div3_dispatch(ops_.d.data(), flux_fused_[0].data() + base,
-                               flux_fused_[1].data() + base,
-                               flux_fused_[2].data() + base,
-                               grad_scratch_.data() + base, n, m, 2.0 / eh[0],
-                               2.0 / eh[1], 2.0 / eh[2],
-                               div_work_.data() + 2 * base);
+        kernels::grad_dispatch(axis, ops_.d.data(), flux_[f].data() + base,
+                               grad_scratch_.data() + base, n, m);
         for (std::size_t p = base; p < base + cnt; ++p) {
-          rhs[f][p] -= grad_scratch_[p];
-        }
-      }
-    } else {
-      for (int axis = 0; axis < 3; ++axis) {
-        // Pointwise axis flux of every field.
-        system_->flux_range(uptr, fptr, base, base + cnt, axis);
-        // d(flux)/d(axis) with the selected loop-transformation variant.
-        const double scale = 2.0 / eh[axis];
-        for (int f = 0; f < nf; ++f) {
-          switch (axis) {
-            case 0:
-              kernels::grad_r(config_.variant, ops_.d.data(),
-                              flux_[f].data() + base,
-                              grad_scratch_.data() + base, n, m);
-              break;
-            case 1:
-              kernels::grad_s(config_.variant, ops_.d.data(),
-                              flux_[f].data() + base,
-                              grad_scratch_.data() + base, n, m);
-              break;
-            default:
-              kernels::grad_t(config_.variant, ops_.d.data(),
-                              flux_[f].data() + base,
-                              grad_scratch_.data() + base, n, m);
-          }
-          for (std::size_t p = base; p < base + cnt; ++p) {
-            rhs[f][p] -= scale * grad_scratch_[p];
-          }
+          rhs[f][p] -= scale * grad_scratch_[p];
         }
       }
     }

@@ -265,9 +265,7 @@ class Driver {
   // Fields and scratch, one vector per conserved variable.
   std::vector<std::vector<double>> u_, u1_, u2_, rhs_;
   std::vector<std::vector<double>> flux_;   // pointwise flux, per field
-  std::array<std::vector<double>, 3> flux_fused_;  // per-axis flux (fused path)
   std::vector<double> grad_scratch_;
-  std::vector<double> div_work_;  // div3_dispatch scratch (fused path only)
   std::vector<double> myfaces_, nbrfaces_;  // nfields stacked face arrays
   std::vector<double> dealias_fine_, dealias_back_, dealias_work_;
   double dealias_checksum_ = 0.0;

@@ -54,14 +54,6 @@ class LinearAdvectionSystem : public HyperbolicSystem {
     }
   }
 
-  void flux_range_field(const double* const* u, double* dst, std::size_t lo,
-                        std::size_t hi, int axis, int field) const override {
-    const double c = config_.velocity[axis];
-    for (std::size_t p = lo; p < hi; ++p) {
-      dst[p] = c * u[field][p];
-    }
-  }
-
   void flux_point(const double* u, double* f, int axis) const override {
     const double c = config_.velocity[axis];
     for (int field = 0; field < nf_; ++field) f[field] = c * u[field];
@@ -126,14 +118,6 @@ class BurgersSystem : public HyperbolicSystem {
     const double ha = 0.5 * config_.velocity[axis];
     for (std::size_t p = lo; p < hi; ++p) {
       f[0][p] = ha * u[0][p] * u[0][p];
-    }
-  }
-
-  void flux_range_field(const double* const* u, double* dst, std::size_t lo,
-                        std::size_t hi, int axis, int) const override {
-    const double ha = 0.5 * config_.velocity[axis];
-    for (std::size_t p = lo; p < hi; ++p) {
-      dst[p] = ha * u[0][p] * u[0][p];
     }
   }
 
@@ -248,17 +232,6 @@ class EulerSystem : public HyperbolicSystem {
       f[2][p] = fl.my;
       f[3][p] = fl.mz;
       f[4][p] = fl.e;
-    }
-  }
-
-  void flux_range_field(const double* const* u, double* dst, std::size_t lo,
-                        std::size_t hi, int axis, int field) const override {
-    const double gamma = config_.gamma;
-    for (std::size_t p = lo; p < hi; ++p) {
-      State5 s{u[0][p], u[1][p], u[2][p], u[3][p], u[4][p]};
-      State5 fl = euler_flux(s, axis, gamma);
-      const double v[5] = {fl.rho, fl.mx, fl.my, fl.mz, fl.e};
-      dst[p] = v[field];
     }
   }
 

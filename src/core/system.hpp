@@ -5,11 +5,11 @@
 // and Euler) behind `if (physics == ...)` branches. Following the shape of
 // MFEM's hypsys miniapp (advection / Burgers / Euler behind one
 // HyperbolicSystem class), the pointwise physics now lives behind this
-// interface: the conserved-field count, the axis flux (bulk, per-field, and
-// single-point flavors matching the volume / fused-divergence / surface
-// call sites), the signal speed for the CFL bound and the Rusanov
-// dissipation, the particle carrier velocity, admissibility of a state, and
-// the analytic initial/exact solutions where the scenario has them.
+// interface: the conserved-field count, the axis flux (bulk and
+// single-point flavors matching the volume / surface call sites), the signal
+// speed for the CFL bound and the Rusanov dissipation, the particle carrier
+// velocity, admissibility of a state, and the analytic initial/exact
+// solutions where the scenario has them.
 //
 // Contract for implementations: the range methods must perform the same
 // per-point floating-point operation sequence regardless of how a caller
@@ -61,12 +61,6 @@ class HyperbolicSystem {
   /// Axis flux of every field over points [lo, hi): u[f][p] -> f[f][p].
   virtual void flux_range(const double* const* u, double* const* f,
                           std::size_t lo, std::size_t hi, int axis) const = 0;
-
-  /// Axis flux of a single field over [lo, hi) (the fused-divergence path,
-  /// which wants the three axis fluxes of one field at a time).
-  virtual void flux_range_field(const double* const* u, double* dst,
-                                std::size_t lo, std::size_t hi, int axis,
-                                int field) const = 0;
 
   /// Axis flux at a single point: u[0..nfields) -> f[0..nfields) (the
   /// surface / Rusanov path).

@@ -3,9 +3,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "kernels/dispatch.hpp"
 #include "kernels/gradient.hpp"
-#include "kernels/vecops.hpp"
 
 namespace cmtbone::kernels {
 
@@ -58,31 +56,6 @@ void div3(const double* d, const double* fx, const double* fy,
   for (std::size_t p = 0; p < elem * nel; ++p) out[p] += sy * work[p];
   grad_t(GradVariant::kFusedUnrolled, d, fz, work, n, nel);
   for (std::size_t p = 0; p < elem * nel; ++p) out[p] += sz * work[p];
-}
-
-void div3_dispatch(const double* d, const double* fx, const double* fy,
-                   const double* fz, double* out, int n, int nel, double sx,
-                   double sy, double sz, double* work) {
-  // With the scalar backend the dispatch contractions would fall back to
-  // runtime mxm sweeps — the register-blocked fused kernel is strictly
-  // better there, and its bits match (same ascending-l accumulation, same
-  // combine order).
-  if (selected_backend(n) == Backend::kScalar) {
-    div3(d, fx, fy, fz, out, n, nel, sx, sy, sz, /*fused=*/true);
-    return;
-  }
-  const std::size_t cnt = std::size_t(n) * n * n * nel;
-  std::vector<double> local_work;
-  if (work == nullptr) {
-    local_work.resize(2 * cnt);
-    work = local_work.data();
-  }
-  double* gs = work;
-  double* gt = work + cnt;
-  grad_dispatch(0, d, fx, out, n, nel);
-  grad_dispatch(1, d, fy, gs, n, nel);
-  grad_dispatch(2, d, fz, gt, n, nel);
-  combine_div3(out, gs, gt, sx, sy, sz, cnt);
 }
 
 }  // namespace cmtbone::kernels

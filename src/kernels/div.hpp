@@ -5,8 +5,8 @@
 // Computing the three directional derivatives separately (grad_r/s/t)
 // streams the output three times; the fused form keeps the accumulator in
 // registers and reads D rows once per point. This is the natural next
-// optimization step after §V's per-derivative loop transformations, and the
-// ablation bench quantifies it.
+// optimization step after §V's per-derivative loop transformations;
+// kernel_nsweep times both forms.
 
 namespace cmtbone::kernels {
 
@@ -19,17 +19,6 @@ namespace cmtbone::kernels {
 void div3(const double* d, const double* fx, const double* fy,
           const double* fz, double* out, int n, int nel, double sx, double sy,
           double sz, bool fused = true, double* work = nullptr);
-
-/// div3 under the currently selected kernel backend (kernels/dispatch): the
-/// three directional derivatives run through the SIMD/batched contraction
-/// kernels and a single elementwise sweep combines them in exactly the
-/// fused kernel's order (sx*ar + sy*as) + sz*at — so the result is
-/// bit-identical to the fused form under every bit-exact backend. `work`
-/// must hold 2*n^3*nel doubles (allocated internally when null). Falls back
-/// to the single-sweep fused kernel when the selection is kScalar.
-void div3_dispatch(const double* d, const double* fx, const double* fy,
-                   const double* fz, double* out, int n, int nel, double sx,
-                   double sy, double sz, double* work = nullptr);
 
 /// Flops of one div3 over nel elements: three contractions plus the scaled
 /// accumulation.

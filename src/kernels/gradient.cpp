@@ -2,7 +2,6 @@
 
 #include <cstddef>
 
-#include "kernels/dispatch.hpp"
 #include "kernels/mxm.hpp"
 
 namespace cmtbone::kernels {
@@ -14,18 +13,14 @@ const char* variant_name(GradVariant v) {
     case GradVariant::kUnrolled: return "unrolled";
     case GradVariant::kFusedUnrolled: return "fused+unrolled";
     case GradVariant::kBlocked: return "blocked";
-    case GradVariant::kMxmFixed: return "mxm-fixed";
-    case GradVariant::kDispatch: return "dispatch";
   }
   return "?";
 }
 
 const std::vector<GradVariant>& all_variants() {
   static const std::vector<GradVariant> v = {
-      GradVariant::kBasic,         GradVariant::kFused,
-      GradVariant::kUnrolled,      GradVariant::kFusedUnrolled,
-      GradVariant::kBlocked,       GradVariant::kMxmFixed,
-      GradVariant::kDispatch};
+      GradVariant::kBasic, GradVariant::kFused, GradVariant::kUnrolled,
+      GradVariant::kFusedUnrolled, GradVariant::kBlocked};
   return v;
 }
 
@@ -190,7 +185,7 @@ void grad_t_tpl(const double* __restrict d, const double* __restrict u,
   }
 }
 
-// ---- blocked: mxm-style reformulation (our ablation extension) -------------
+// ---- blocked: mxm-style reformulation (our extension) ----------------------
 // Rewrites each contraction with the accumulation loop hoisted so the
 // innermost loop streams unit-stride and C stays in registers/L1:
 //   r: out = D * U            (U viewed as N x N^2)
@@ -231,12 +226,9 @@ void grad_t_blocked(const double* d, const double* u, double* out, int n) {
   }
 }
 
-// ---- dispatch ---------------------------------------------------------------
+// ---- per-element dispatch over the variants ----------------------------------
 
 enum class Dir { kR, kS, kT };
-
-void grad_field_mxm_fixed(Dir dir, const double* d, const double* u,
-                          double* out, int n, int nel);
 
 template <int N>
 void grad_elem_tpl(Dir dir, const double* d, const double* u, double* out,
@@ -317,68 +309,11 @@ void grad_elem(Dir dir, GradVariant v, const double* d, const double* u,
         case Dir::kT: grad_t_blocked(d, u, out, n); return;
       }
       return;
-    case GradVariant::kMxmFixed:
-      grad_field_mxm_fixed(dir, d, u, out, n, /*nel=*/1);
-      return;
-    case GradVariant::kDispatch:
-      grad_dispatch(int(dir), d, u, out, n, /*nel=*/1);
-      return;
-  }
-}
-
-// ---- mxm-fixed: contractions as mxm through the fixed-N dispatch -----------
-// r: out_e = D * U_e (U viewed as N x N^2). s and t contract against rows of
-// D, i.e. right-multiply by D^T — transposed once per field call, amortized
-// over all elements. Per output entry the accumulation runs over l ascending,
-// exactly like kBasic, so the results are bit-identical.
-
-void grad_field_mxm_fixed(Dir dir, const double* d, const double* u,
-                          double* out, int n, int nel) {
-  const std::size_t stride = std::size_t(n) * n * n;
-  const std::size_t n2 = std::size_t(n) * n;
-  if (dir == Dir::kR) {
-    for (int e = 0; e < nel; ++e) {
-      mxm_auto(d, n, u + e * stride, n, out + e * stride, n * n);
-    }
-    return;
-  }
-  double dt_stack[32 * 32];
-  std::vector<double> dt_heap;
-  double* dt = dt_stack;
-  if (n > 32) {
-    dt_heap.resize(n2);
-    dt = dt_heap.data();
-  }
-  for (int l = 0; l < n; ++l) {
-    for (int j = 0; j < n; ++j) {
-      dt[l + std::size_t(n) * j] = d[j + std::size_t(n) * l];
-    }
-  }
-  if (dir == Dir::kS) {
-    for (int e = 0; e < nel; ++e) {
-      for (int k = 0; k < n; ++k) {
-        const double* uslab = u + e * stride + k * n2;
-        double* oslab = out + e * stride + k * n2;
-        mxm_auto(uslab, n, dt, n, oslab, n);
-      }
-    }
-  } else {
-    for (int e = 0; e < nel; ++e) {
-      mxm_auto(u + e * stride, n * n, dt, n, out + e * stride, n);
-    }
   }
 }
 
 void grad_field(Dir dir, GradVariant v, const double* d, const double* u,
                 double* out, int n, int nel) {
-  if (v == GradVariant::kMxmFixed) {
-    grad_field_mxm_fixed(dir, d, u, out, n, nel);
-    return;
-  }
-  if (v == GradVariant::kDispatch) {
-    grad_dispatch(int(dir), d, u, out, n, nel);
-    return;
-  }
   const std::size_t stride = std::size_t(n) * n * n;
   for (int e = 0; e < nel; ++e) {
     grad_elem(dir, v, d, u + e * stride, out + e * stride, n);
@@ -425,11 +360,6 @@ long long grad_instruction_estimate(GradVariant v, int n, int nel) {
     case GradVariant::kUnrolled: overhead = 4 * n3; break;
     case GradVariant::kFusedUnrolled: overhead = 2 * n3; break;
     case GradVariant::kBlocked: overhead = n4 + 2 * n3; break;
-    // Fixed-N dispatch: unrolled contraction, register accumulators, one
-    // store per output and no zero-fill pass. The backend-dispatch layer
-    // routes to kernels of at least that quality.
-    case GradVariant::kMxmFixed: overhead = n3; break;
-    case GradVariant::kDispatch: overhead = n3; break;
   }
   return (ops + overhead) * nel;
 }

@@ -20,17 +20,11 @@
 //   kFused          outer loops fused (r: over jk; t: over ij); duds = basic
 //   kUnrolled       inner contraction fully unrolled (compile-time N)
 //   kFusedUnrolled  both — the production CMT-bone / Nek5000 form
-//   kBlocked        cache-blocked over the fused index (our extension,
-//                   exercised by the ablation bench)
-//   kMxmFixed       each contraction expressed as an mxm routed through the
-//                   fixed-N microkernel dispatch (see kernels/mxm.hpp); the
-//                   s/t directions multiply by D^T, transposed once per
-//                   field. Bit-identical to kBasic.
-//   kDispatch       routed through the runtime backend-dispatch layer
-//                   (kernels/dispatch.hpp): scalar / fixed-N / SIMD /
-//                   batched, chosen by force, tuning table, or default.
-//                   Bit-identical to kBasic for every backend except the
-//                   explicitly opted-into fused-multiply-add one.
+//   kBlocked        mxm-style reformulation (our extension)
+//
+// These are the Fig. 5/6 bench subject and kBasic is the test oracle; the
+// solver itself runs the one SIMD contraction path of kernels/dispatch.hpp,
+// which is bit-identical to kBasic.
 
 #include <string>
 #include <vector>
@@ -43,8 +37,6 @@ enum class GradVariant {
   kUnrolled,
   kFusedUnrolled,
   kBlocked,
-  kMxmFixed,
-  kDispatch,
 };
 
 const char* variant_name(GradVariant v);

@@ -19,24 +19,21 @@ void mxm_acc(const double* a, int n1, const double* b, int n2, double* c,
 // --- fixed-N microkernels ----------------------------------------------------
 // The contraction length n2 is the polynomial order N in every tensor
 // contraction of the solver (paper range 5..25), so a compile-time-N fast
-// path pays everywhere: the inner accumulation fully unrolls, C columns stay
-// in registers, and the zero-then-accumulate memory round-trip of the
-// runtime loop disappears. Accumulation order over l is ascending in both
-// forms, so the fixed kernels are bit-identical to mxm().
-
-/// Same contract as mxm() with n2 = N2 fixed at compile time.
-template <int N2>
-void mxm_fixed(const double* a, int n1, const double* b, double* c, int n3);
+// path pays everywhere: the inner accumulation fully unrolls and C stays in
+// vector registers. These are the explicit-SIMD kernels of simd_backend.hpp
+// for the widest instruction set this CPU runs. Accumulation order over l is
+// ascending with separate multiply and add roundings, so they are
+// bit-identical to mxm().
 
 /// Signature of a fixed-N2 kernel (a, n1, b, c, n3).
 using MxmFixedFn = void (*)(const double*, int, const double*, double*, int);
 
-/// Dispatch-table lookup, done once per size by callers that loop: returns
-/// the specialized kernel for contraction length n2, or nullptr when n2 is
+/// Kernel lookup, done once per size by callers that loop: returns the
+/// specialized kernel for contraction length n2, or nullptr when n2 is
 /// outside the specialized range (2..25).
 MxmFixedFn mxm_fixed_kernel(int n2);
 
-/// mxm() routed through the fixed-N dispatch, falling back to the runtime
+/// mxm() routed through the fixed-N kernels, falling back to the runtime
 /// loop for unspecialized sizes. Bit-identical to mxm() either way.
 inline void mxm_auto(const double* a, int n1, const double* b, int n2,
                      double* c, int n3) {

@@ -6,7 +6,6 @@
 #define CMTBONE_SIMD_NS avx2
 #define CMTBONE_SIMD_NAME "avx2"
 #define CMTBONE_SIMD_MAXW 4
-#define CMTBONE_SIMD_HW_FMA 1
 #include "kernels/simd_kernels.inc.hpp"
 
 namespace cmtbone::kernels::detail {

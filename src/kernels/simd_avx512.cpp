@@ -1,13 +1,10 @@
-// AVX-512 backend TU: compiled with -mavx512f -mfma (avx512f implies AVX2
-// but not the __FMA__ macro, which the narrow-vector fused kernels test),
-// plus -ffp-contract=off; see simd_kernels.inc.hpp. Only added to the
-// build when the compiler accepts the flags; only handed out by dispatch
-// when the CPU reports avx512f.
+// AVX-512 backend TU: compiled with -mavx512f (plus -ffp-contract=off; see
+// simd_kernels.inc.hpp). Only added to the build when the compiler accepts
+// the flag; only handed out by dispatch when the CPU reports avx512f.
 
 #define CMTBONE_SIMD_NS avx512
 #define CMTBONE_SIMD_NAME "avx512"
 #define CMTBONE_SIMD_MAXW 8
-#define CMTBONE_SIMD_HW_FMA 1
 #include "kernels/simd_kernels.inc.hpp"
 
 namespace cmtbone::kernels::detail {

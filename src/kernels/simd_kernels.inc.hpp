@@ -6,12 +6,11 @@
 //   CMTBONE_SIMD_NS      unique namespace for this TU (ODR isolation)
 //   CMTBONE_SIMD_NAME    backend name string
 //   CMTBONE_SIMD_MAXW    widest vector width in doubles: 2, 4, or 8
-//   CMTBONE_SIMD_HW_FMA  1 when the TU's ISA flags include hardware FMA
 //
-// and must be compiled with -ffp-contract=off: the fma=false kernels spell
-// the accumulation as separate multiply and add, and contraction into an
-// FMA would silently change their rounding and break bit-parity with the
-// scalar reference. The fma=true kernels request fusion explicitly.
+// and must be compiled with -ffp-contract=off: the kernels spell the
+// accumulation as separate multiply and add, and contraction into an FMA
+// would silently change their rounding and break bit-parity with the scalar
+// reference. Only the compute-roof probe requests fusion, explicitly.
 //
 // No include guard on purpose: each TU includes this exactly once inside
 // its own macro configuration.
@@ -48,45 +47,36 @@ struct Vec {
   static Vec bcast(double x) { return Vec{V{} + x}; }
 };
 
-// mac<false>: c + a*b with two roundings — the scalar-reference order.
-// mac<true>: one fused multiply-add (single rounding). Hardware intrinsics
-// where the TU's ISA provides them; otherwise per-lane __builtin_fma, which
-// is correctly rounded but slow (libm) — a correctness path, never picked
-// by tuning.
-template <bool Fma, int W>
+// c + a*b with two roundings — the scalar-reference order.
+template <int W>
 inline Vec<W> mac(Vec<W> a, Vec<W> b, Vec<W> c) {
-  if constexpr (!Fma) {
-    return Vec<W>{c.v + a.v * b.v};
-  } else {
+  return Vec<W>{c.v + a.v * b.v};
+}
+
+// The compute-roof probe's multiply-add: one fused instruction where the
+// TU's ISA provides it at full width, else mac().
+template <int W>
+inline Vec<W> probe_mac(Vec<W> a, Vec<W> b, Vec<W> c) {
 #if defined(__AVX512F__)
-    if constexpr (W == 8) {
-      return Vec<8>{(typename Vec<8>::V)_mm512_fmadd_pd(
-          (__m512d)a.v, (__m512d)b.v, (__m512d)c.v)};
-    }
+  if constexpr (W == 8) {
+    return Vec<8>{(typename Vec<8>::V)_mm512_fmadd_pd(
+        (__m512d)a.v, (__m512d)b.v, (__m512d)c.v)};
+  }
 #endif
 #if defined(__FMA__)
-    if constexpr (W == 4) {
-      return Vec<4>{(typename Vec<4>::V)_mm256_fmadd_pd(
-          (__m256d)a.v, (__m256d)b.v, (__m256d)c.v)};
-    }
-    if constexpr (W == 2) {
-      return Vec<2>{(typename Vec<2>::V)_mm_fmadd_pd((__m128d)a.v, (__m128d)b.v,
-                                                     (__m128d)c.v)};
-    }
-#endif
-    Vec<W> r;
-    for (int i = 0; i < W; ++i) {
-      r.v[i] = __builtin_fma(a.v[i], b.v[i], c.v[i]);
-    }
-    return r;
+  if constexpr (W == 4) {
+    return Vec<4>{(typename Vec<4>::V)_mm256_fmadd_pd(
+        (__m256d)a.v, (__m256d)b.v, (__m256d)c.v)};
   }
+#endif
+  return mac(a, b, c);
 }
 
 // Rows [i0, i0 + floor((n1-i0)/W)*W) of C, W rows per vector, with a 4-wide
 // column block so four C columns accumulate per sweep over A — the l loop
 // is the only loop carrying the accumulation and it runs ascending, per the
 // policy. Returns the first row not covered.
-template <int W, bool Fma, int N2>
+template <int W, int N2>
 int mxm_rows(const double* __restrict a, int n1, const double* __restrict b,
              double* __restrict c, int n3, int i0) {
   using V = Vec<W>;
@@ -99,10 +89,10 @@ int mxm_rows(const double* __restrict a, int n1, const double* __restrict b,
 #pragma GCC unroll 32
       for (int l = 0; l < N2; ++l) {
         const V av = V::load(ai + std::size_t(l) * n1);
-        s0 = mac<Fma>(av, V::bcast(b0[l]), s0);
-        s1 = mac<Fma>(av, V::bcast(b0[N2 + l]), s1);
-        s2 = mac<Fma>(av, V::bcast(b0[2 * N2 + l]), s2);
-        s3 = mac<Fma>(av, V::bcast(b0[3 * N2 + l]), s3);
+        s0 = mac(av, V::bcast(b0[l]), s0);
+        s1 = mac(av, V::bcast(b0[N2 + l]), s1);
+        s2 = mac(av, V::bcast(b0[2 * N2 + l]), s2);
+        s3 = mac(av, V::bcast(b0[3 * N2 + l]), s3);
       }
       double* cj = c + std::size_t(j) * n1 + i0;
       s0.store(cj);
@@ -115,7 +105,7 @@ int mxm_rows(const double* __restrict a, int n1, const double* __restrict b,
       V s = V::zero();
 #pragma GCC unroll 32
       for (int l = 0; l < N2; ++l) {
-        s = mac<Fma>(V::load(ai + std::size_t(l) * n1), V::bcast(bj[l]), s);
+        s = mac(V::load(ai + std::size_t(l) * n1), V::bcast(bj[l]), s);
       }
       s.store(c + std::size_t(j) * n1 + i0);
     }
@@ -123,9 +113,8 @@ int mxm_rows(const double* __restrict a, int n1, const double* __restrict b,
   return i0;
 }
 
-// Leftover rows, scalar — same l-ascending order, so still bit-identical
-// (fma=false) or single-rounding-per-step (fma=true).
-template <bool Fma, int N2>
+// Leftover rows, scalar — same l-ascending order, so still bit-identical.
+template <int N2>
 void mxm_tail(const double* __restrict a, int n1, const double* __restrict b,
               double* __restrict c, int n3, int i0) {
   for (int j = 0; j < n3; ++j) {
@@ -134,11 +123,7 @@ void mxm_tail(const double* __restrict a, int n1, const double* __restrict b,
       double s = 0.0;
 #pragma GCC unroll 32
       for (int l = 0; l < N2; ++l) {
-        if constexpr (Fma) {
-          s = __builtin_fma(a[std::size_t(l) * n1 + i], bj[l], s);
-        } else {
-          s += a[std::size_t(l) * n1 + i] * bj[l];
-        }
+        s += a[std::size_t(l) * n1 + i] * bj[l];
       }
       c[std::size_t(j) * n1 + i] = s;
     }
@@ -148,23 +133,23 @@ void mxm_tail(const double* __restrict a, int n1, const double* __restrict b,
 /// C(n1,n3) = A(n1,N2) * B(N2,n3), column-major. Row cascade: full-width
 /// vectors first, then narrower, then a scalar tail, so odd n1 (the common
 /// case — n1 is N or N^2 for odd N) keeps most rows vectorized.
-template <bool Fma, int N2>
+template <int N2>
 void mxm_simd(const double* a, int n1, const double* b, double* c, int n3) {
   int i = 0;
 #if CMTBONE_SIMD_MAXW >= 8
-  i = mxm_rows<8, Fma, N2>(a, n1, b, c, n3, i);
+  i = mxm_rows<8, N2>(a, n1, b, c, n3, i);
 #endif
 #if CMTBONE_SIMD_MAXW >= 4
-  i = mxm_rows<4, Fma, N2>(a, n1, b, c, n3, i);
+  i = mxm_rows<4, N2>(a, n1, b, c, n3, i);
 #endif
-  i = mxm_rows<2, Fma, N2>(a, n1, b, c, n3, i);
-  if (i < n1) mxm_tail<Fma, N2>(a, n1, b, c, n3, i);
+  i = mxm_rows<2, N2>(a, n1, b, c, n3, i);
+  if (i < n1) mxm_tail<N2>(a, n1, b, c, n3, i);
 }
 
-MxmFixedFn mxm_kernel(int n2, bool fma) {
+MxmFixedFn mxm_kernel(int n2) {
   switch (n2) {
 #define CMTBONE_CASE(N) \
-  case N: return fma ? &mxm_simd<true, N> : &mxm_simd<false, N>;
+  case N: return &mxm_simd<N>;
     CMTBONE_CASE(2)
     CMTBONE_CASE(3)
     CMTBONE_CASE(4)
@@ -200,7 +185,6 @@ MxmFixedFn mxm_kernel(int n2, bool fma) {
 // or not).
 double measure_peak_gflops() {
   constexpr int W = CMTBONE_SIMD_MAXW;
-  constexpr bool kFma = CMTBONE_SIMD_HW_FMA != 0;
   using V = Vec<W>;
   const V a = V::bcast(1.0 + 1e-9);
   const V b = V::bcast(1.0 - 1e-9);
@@ -213,7 +197,7 @@ double measure_peak_gflops() {
     const auto t0 = std::chrono::steady_clock::now();
     for (long it = 0; it < kIters; ++it) {
 #pragma GCC unroll 8
-      for (int u = 0; u < 8; ++u) acc[u] = mac<kFma>(a, b, acc[u]);
+      for (int u = 0; u < 8; ++u) acc[u] = probe_mac(a, b, acc[u]);
     }
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -235,8 +219,7 @@ double measure_peak_gflops() {
 
 const SimdBackend* backend_table() {
   static const SimdBackend table = {
-      CMTBONE_SIMD_NAME, CMTBONE_SIMD_MAXW, CMTBONE_SIMD_HW_FMA != 0,
-      &mxm_kernel, &measure_peak_gflops};
+      CMTBONE_SIMD_NAME, &mxm_kernel, &measure_peak_gflops};
   return &table;
 }
 

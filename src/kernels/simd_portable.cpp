@@ -1,13 +1,12 @@
 // Portable SIMD backend: baseline compile flags, 2-wide generic vectors
 // (SSE2 on x86; double-pumped scalar elsewhere). Always compiled, always
 // runnable — the fallback when the ISA TUs are disabled or the CPU lacks
-// them. No hardware FMA is assumed: the fma=true kernels here go through
-// correctly-rounded __builtin_fma (slow; exists for parity testing only).
+// them. No hardware FMA is assumed, so the roof probe times separate
+// multiply and add.
 
 #define CMTBONE_SIMD_NS portable
 #define CMTBONE_SIMD_NAME "portable"
 #define CMTBONE_SIMD_MAXW 2
-#define CMTBONE_SIMD_HW_FMA 0
 #include "kernels/simd_kernels.inc.hpp"
 
 namespace cmtbone::kernels::detail {

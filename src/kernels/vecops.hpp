@@ -1,26 +1,24 @@
 #pragma once
 // Pointwise vector kernels for the solver's non-contraction inner loops:
-// the dssum multiplicity scaling, the fused-divergence combine, the Nekbone
-// ax tail, and the CG inner products.
+// the dssum multiplicity scaling, the Nekbone ax tail, and the CG inner
+// products.
 //
 // These loops are memory-bound streams; the win over leaving them to the
 // autovectorizer is a guaranteed vector shape (GCC generic vectors, so the
 // TU vectorizes under the baseline flags with no ISA gamble) and an
 // explicit accumulation-order contract:
 //
-//   * The elementwise ops (scale / combine / ax tail) touch each index
+//   * The elementwise ops (scale / ax tail) touch each index
 //     independently — vector width cannot change a single result bit, so
 //     they are unconditionally safe for the bit-identity paths.
 //   * weighted_dot is a reduction, so lane-parallel accumulation IS a
-//     reorder. The strict form reproduces the historical scalar ascending
-//     loop bit for bit; the vector form commits to a fixed 4-lane
+//     reorder of the plain ascending loop. It commits to a fixed 4-lane
 //     accumulator shape folded in a fixed order, which is deterministic and
-//     machine/ISA-independent — just different bits from strict. Callers
-//     pick per the active kernel backend (scalar backend => strict).
+//     machine/ISA-independent.
 //
-// Compiled with -ffp-contract=off (see CMakeLists): the combine ops spell
-// multiply and add separately and must stay that way to match the fused
-// kernels they replace.
+// Compiled with -ffp-contract=off (see CMakeLists): the ax tail spells
+// multiply and add separately and must stay that way to match the scalar
+// loop it replaces.
 
 #include <cstddef>
 
@@ -29,19 +27,14 @@ namespace cmtbone::kernels {
 /// x[i] *= s[i] for i in [0, count).
 void pointwise_scale(double* x, const double* s, std::size_t count);
 
-/// out[i] = sx*out[i] + sy*gs[i] + sz*gt[i] — the div3 combine, evaluated
-/// left to right exactly like the fused kernel's (sx*ar + sy*as) + sz*at.
-void combine_div3(double* out, const double* gs, const double* gt, double sx,
-                  double sy, double sz, std::size_t count);
-
 /// w[i] = h1*(w[i] + s[i]) + h2*m[i]*u[i] — the Nekbone local_ax tail,
 /// in the historical scalar evaluation order (h2*m rounds first).
 void ax_combine(double* w, const double* s, const double* m, const double* u,
                 double h1, double h2, std::size_t count);
 
-/// sum over i of a[i]*b[i]*w[i]. strict_order=true is the plain ascending
-/// scalar loop; false uses the 4-lane accumulator shape described above.
+/// sum over i of a[i]*b[i]*w[i], in the 4-lane accumulator shape described
+/// above.
 double weighted_dot(const double* a, const double* b, const double* w,
-                    std::size_t count, bool strict_order);
+                    std::size_t count);
 
 }  // namespace cmtbone::kernels

@@ -257,26 +257,6 @@ TEST(Driver, FixedDtOverridesCfl) {
   });
 }
 
-TEST(Driver, VariantsProduceSameTrajectory) {
-  // The loop-transformation variants are numerically interchangeable.
-  Config base = advection_config(5, 2);
-  base.fixed_dt = 1e-3;
-  std::vector<double> norms;
-  for (auto v : cmtbone::kernels::all_variants()) {
-    cmtbone::comm::run(1, [&](Comm& world) {
-      Config cfg = base;
-      cfg.variant = v;
-      Driver driver(world, cfg);
-      driver.initialize(driver.default_ic());
-      driver.run(5);
-      norms.push_back(driver.l2_norm(0));
-    });
-  }
-  for (std::size_t i = 1; i < norms.size(); ++i) {
-    EXPECT_NEAR(norms[i], norms[0], 1e-11 * norms[0]);
-  }
-}
-
 TEST(Driver, DealiasPathRuns) {
   cmtbone::comm::run(1, [](Comm& world) {
     Config cfg;
@@ -289,38 +269,6 @@ TEST(Driver, DealiasPathRuns) {
     driver.run(2);
     EXPECT_TRUE(std::isfinite(driver.l2_norm(4)));
   });
-}
-
-TEST(Driver, FusedDivergenceMatchesSeparateSweeps) {
-  // The fused div3 volume term must reproduce the three-sweep trajectory
-  // for both linear and Euler fluxes.
-  for (auto physics : {Physics::kAdvection, Physics::kEuler}) {
-    std::vector<double> separate, fused;
-    for (bool use_fused : {false, true}) {
-      cmtbone::comm::run(2, [&](Comm& world) {
-        Config cfg;
-        cfg.physics = physics;
-        cfg.n = 5;
-        cfg.ex = cfg.ey = cfg.ez = 2;
-        cfg.use_dssum = false;
-        cfg.fixed_dt = 1e-3;
-        cfg.fused_divergence = use_fused;
-        Driver driver(world, cfg);
-        driver.initialize(driver.default_ic());
-        driver.run(3);
-        if (world.rank() == 0) {
-          auto f = driver.field(0);
-          auto& out = use_fused ? fused : separate;
-          out.assign(f.begin(), f.end());
-        }
-      });
-    }
-    ASSERT_EQ(separate.size(), fused.size());
-    for (std::size_t i = 0; i < separate.size(); ++i) {
-      ASSERT_NEAR(fused[i], separate[i], 1e-12)
-          << cmtbone::core::physics_name(physics) << " index " << i;
-    }
-  }
 }
 
 // --- face-exchange backends -----------------------------------------------------

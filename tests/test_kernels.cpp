@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
-#include <cfloat>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,12 +64,12 @@ TEST(Mxm, AccumulatingFormAddsToC) {
   for (int i = 0; i < n * n; ++i) EXPECT_NEAR(c0[i], c1[i] + 1.0, 1e-13);
 }
 
-// --- fixed-N microkernel dispatch ------------------------------------------
+// --- fixed-N microkernel lookup --------------------------------------------
 
 TEST(MxmFixed, BitIdenticalToRuntimeMxmForEveryDispatchedN) {
   // The fixed-N kernels accumulate over l in the same ascending order as the
   // runtime loop, so the results must match bit for bit — which is what lets
-  // the driver switch kernels without perturbing physics results.
+  // the solver run them without perturbing physics results.
   for (int n2 = 2; n2 <= 25; ++n2) {
     cmtbone::kernels::MxmFixedFn f = cmtbone::kernels::mxm_fixed_kernel(n2);
     ASSERT_NE(f, nullptr) << "n2=" << n2;
@@ -113,6 +112,35 @@ TEST(MxmFixed, AutoFallsBackToRuntimeKernelBeyondTable) {
   }
 }
 
+// --- gradient through the fixed-N kernels -----------------------------------
+// The three derivatives spelled as whole-element mxm contractions through
+// mxm_auto(): r: out_e = D * U_e (U viewed as N x N^2); s and t right-multiply
+// by D^T. Per output entry the accumulation runs over l ascending, exactly
+// like kBasic, so the results must be bit-identical.
+
+void grad_via_mxm_fixed(int dir, const double* d, const double* u,
+                        double* out, int n, int nel) {
+  const std::size_t stride = std::size_t(n) * n * n;
+  const std::size_t n2 = std::size_t(n) * n;
+  std::vector<double> dt(n2);
+  for (int l = 0; l < n; ++l) {
+    for (int j = 0; j < n; ++j) dt[l + std::size_t(n) * j] = d[j + std::size_t(n) * l];
+  }
+  for (int e = 0; e < nel; ++e) {
+    const double* ue = u + e * stride;
+    double* oe = out + e * stride;
+    if (dir == 0) {
+      cmtbone::kernels::mxm_auto(d, n, ue, n, oe, n * n);
+    } else if (dir == 1) {
+      for (int k = 0; k < n; ++k) {
+        cmtbone::kernels::mxm_auto(ue + k * n2, n, dt.data(), n, oe + k * n2, n);
+      }
+    } else {
+      cmtbone::kernels::mxm_auto(ue, n * n, dt.data(), n, oe, n);
+    }
+  }
+}
+
 TEST(Gradient, MxmFixedVariantBitIdenticalToBasic) {
   for (int n : {5, 9, 13}) {
     const int nel = 3;
@@ -124,57 +152,71 @@ TEST(Gradient, MxmFixedVariantBitIdenticalToBasic) {
     using cmtbone::kernels::grad_s;
     using cmtbone::kernels::grad_t;
     grad_r(GradVariant::kBasic, ops.d.data(), u.data(), ref.data(), n, nel);
-    grad_r(GradVariant::kMxmFixed, ops.d.data(), u.data(), fix.data(), n, nel);
+    grad_via_mxm_fixed(0, ops.d.data(), u.data(), fix.data(), n, nel);
     for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], fix[p]) << n;
     grad_s(GradVariant::kBasic, ops.d.data(), u.data(), ref.data(), n, nel);
-    grad_s(GradVariant::kMxmFixed, ops.d.data(), u.data(), fix.data(), n, nel);
+    grad_via_mxm_fixed(1, ops.d.data(), u.data(), fix.data(), n, nel);
     for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], fix[p]) << n;
     grad_t(GradVariant::kBasic, ops.d.data(), u.data(), ref.data(), n, nel);
-    grad_t(GradVariant::kMxmFixed, ops.d.data(), u.data(), fix.data(), n, nel);
+    grad_via_mxm_fixed(2, ops.d.data(), u.data(), fix.data(), n, nel);
     for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], fix[p]) << n;
   }
 }
 
-// --- gradient variants agree with the basic reference ----------------------
+// --- gradient paths agree with the basic reference -------------------------
+// A path is one of the GradVariant loop transformations (by value), or one
+// of the two spellings of the production contraction that follow them.
+
+const int kPathMxmFixed = int(cmtbone::kernels::all_variants().size());
+const int kPathDispatch = kPathMxmFixed + 1;
 
 struct GradCase {
   int n;
-  GradVariant variant;
+  int path;
 };
+
+std::string path_name(int path) {
+  if (path == kPathMxmFixed) return "mxm-fixed";
+  if (path == kPathDispatch) return "dispatch";
+  return cmtbone::kernels::variant_name(static_cast<GradVariant>(path));
+}
+
+void run_path(int path, int dir, const double* d, const double* u,
+              double* out, int n, int nel) {
+  if (path == kPathMxmFixed) {
+    grad_via_mxm_fixed(dir, d, u, out, n, nel);
+  } else if (path == kPathDispatch) {
+    cmtbone::kernels::grad_dispatch(dir, d, u, out, n, nel);
+  } else {
+    const auto v = static_cast<GradVariant>(path);
+    if (dir == 0) cmtbone::kernels::grad_r(v, d, u, out, n, nel);
+    if (dir == 1) cmtbone::kernels::grad_s(v, d, u, out, n, nel);
+    if (dir == 2) cmtbone::kernels::grad_t(v, d, u, out, n, nel);
+  }
+}
 
 class GradAgree : public ::testing::TestWithParam<GradCase> {};
 
 TEST_P(GradAgree, AllDirectionsMatchBasic) {
-  const auto [n, variant] = GetParam();
+  const auto [n, path] = GetParam();
   const int nel = 3;
   const std::size_t pts = std::size_t(n) * n * n * nel;
   auto op = cmtbone::sem::Operators::build(n);
   auto u = random_vec(pts, 100 + n);
 
   std::vector<double> ref(pts), got(pts);
-  using cmtbone::kernels::grad_r;
-  using cmtbone::kernels::grad_s;
-  using cmtbone::kernels::grad_t;
-
-  grad_r(GradVariant::kBasic, op.d.data(), u.data(), ref.data(), n, nel);
-  grad_r(variant, op.d.data(), u.data(), got.data(), n, nel);
-  for (std::size_t i = 0; i < pts; ++i) EXPECT_NEAR(got[i], ref[i], 1e-12);
-
-  grad_s(GradVariant::kBasic, op.d.data(), u.data(), ref.data(), n, nel);
-  grad_s(variant, op.d.data(), u.data(), got.data(), n, nel);
-  for (std::size_t i = 0; i < pts; ++i) EXPECT_NEAR(got[i], ref[i], 1e-12);
-
-  grad_t(GradVariant::kBasic, op.d.data(), u.data(), ref.data(), n, nel);
-  grad_t(variant, op.d.data(), u.data(), got.data(), n, nel);
-  for (std::size_t i = 0; i < pts; ++i) EXPECT_NEAR(got[i], ref[i], 1e-12);
+  for (int dir = 0; dir < 3; ++dir) {
+    run_path(int(GradVariant::kBasic), dir, op.d.data(), u.data(), ref.data(),
+             n, nel);
+    run_path(path, dir, op.d.data(), u.data(), got.data(), n, nel);
+    for (std::size_t i = 0; i < pts; ++i) EXPECT_NEAR(got[i], ref[i], 1e-12);
+  }
 }
 
 std::vector<GradCase> all_grad_cases() {
   std::vector<GradCase> cases;
   for (int n : {2, 3, 5, 8, 10, 13, 16, 25, 27 /* no unrolled instantiation */}) {
-    for (GradVariant v : cmtbone::kernels::all_variants()) {
-      cases.push_back({n, v});
-    }
+    for (int path = 0; path <= kPathDispatch; ++path) cases.push_back({n, path});
   }
   return cases;
 }
@@ -182,7 +224,7 @@ std::vector<GradCase> all_grad_cases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GradAgree, ::testing::ValuesIn(all_grad_cases()),
     [](const ::testing::TestParamInfo<GradCase>& info) {
-      std::string name = cmtbone::kernels::variant_name(info.param.variant);
+      std::string name = path_name(info.param.path);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
@@ -350,29 +392,15 @@ TEST(TensorApply, DealiasRoundTripPreservesResolvedPolynomials) {
   (void)back;
 }
 
-// ---- SIMD / dispatch backend parity -----------------------------------------
+// ---- SIMD kernels and the production path: bit parity ------------------------
 //
-// Accumulation-order policy under test (simd_backend.hpp, DESIGN.md):
-//
-//   * Every C(i,j) accumulates over l ascending from zero, and SIMD
-//     parallelism runs only across output rows i — never across the
-//     contraction. The non-fma kernels therefore perform the same
-//     multiplies and adds, in the same order, as the scalar mxm(), and
-//     must match it BIT FOR BIT. The suites below assert with ASSERT_EQ
-//     on doubles, i.e. exact bit equality (no tolerance).
-//
-//   * The fma kernels keep that order but fuse each multiply-add into a
-//     single rounding. Against the two-roundings-per-step scalar
-//     reference, each of the n2 steps can perturb the running sum by at
-//     most one ulp of the accumulated magnitude, so
-//
-//       |fma - scalar| <= 2 * n2 * eps * sum_l |a(i,l) * b(l,j)|
-//
-//     with the bound computed from the data (the absolute-value
-//     contraction), not from the result — a naive relative-error check
-//     breaks down under cancellation. fma results are still fully
-//     deterministic: same inputs give the same bits, run to run and at
-//     any thread count.
+// Accumulation-order policy under test (simd_backend.hpp, DESIGN.md): every
+// C(i,j) accumulates over l ascending from zero, and SIMD parallelism runs
+// only across output rows i — never across the contraction. Each multiply
+// and add rounds separately, so the kernels perform the same operations, in
+// the same order, as the scalar mxm() and must match it BIT FOR BIT. The
+// suites below assert with ASSERT_EQ on doubles, i.e. exact bit equality
+// (no tolerance).
 
 using cmtbone::kernels::Backend;
 using cmtbone::kernels::kMaxDispatchN;
@@ -390,18 +418,6 @@ std::vector<const SimdBackend*> compiled_simd_backends() {
   return v;
 }
 
-// Data-derived fma tolerance for C(i,j): the absolute-value contraction
-// bounds the magnitude each fused step rounds.
-double fma_tol(const double* a, int n1, const double* b, int n2, int i,
-               int j) {
-  double mag = 0.0;
-  for (int l = 0; l < n2; ++l) {
-    mag += std::fabs(a[i + std::size_t(n1) * l]) *
-           std::fabs(b[l + std::size_t(n2) * j]);
-  }
-  return 2.0 * n2 * DBL_EPSILON * mag + 1e-300;
-}
-
 TEST(SimdParity, NonFmaBitIdenticalToScalarForEveryIsaAndN) {
   const auto backends = compiled_simd_backends();
   ASSERT_FALSE(backends.empty());
@@ -413,7 +429,7 @@ TEST(SimdParity, NonFmaBitIdenticalToScalarForEveryIsaAndN) {
   const int n3s[] = {1, 3, 6};
   for (const SimdBackend* bk : backends) {
     for (int n2 = kMinDispatchN; n2 <= kMaxDispatchN; ++n2) {
-      MxmFixedFn f = bk->mxm_kernel(n2, /*fma=*/false);
+      MxmFixedFn f = bk->mxm_kernel(n2);
       ASSERT_NE(f, nullptr) << bk->name << " n2=" << n2;
       for (int n1 : n1s) {
         for (int n3 : n3s) {
@@ -442,115 +458,81 @@ TEST(SimdParity, NonFmaBitIdenticalToScalarForEveryIsaAndN) {
   }
 }
 
-TEST(SimdParity, FmaWithinDataDerivedBoundAndDeterministic) {
-  const auto backends = compiled_simd_backends();
-  ASSERT_FALSE(backends.empty());
-  const int n1s[] = {1, 3, 5, 8, 17};
-  const int n3 = 5;
-  for (const SimdBackend* bk : backends) {
-    for (int n2 = kMinDispatchN; n2 <= kMaxDispatchN; ++n2) {
-      MxmFixedFn f = bk->mxm_kernel(n2, /*fma=*/true);
-      ASSERT_NE(f, nullptr) << bk->name << " n2=" << n2;
-      for (int n1 : n1s) {
-        auto a = random_vec(std::size_t(n1) * n2, 131u * n2 + n1);
-        auto b = random_vec(std::size_t(n2) * n3, 137u * n2 + n1);
-        std::vector<double> ref(std::size_t(n1) * n3, 0.0);
-        std::vector<double> got(ref.size(), 0.0), again(ref.size(), 0.0);
-        cmtbone::kernels::mxm(a.data(), n1, b.data(), n2, ref.data(), n3);
-        f(a.data(), n1, b.data(), got.data(), n3);
-        f(a.data(), n1, b.data(), again.data(), n3);
-        for (int j = 0; j < n3; ++j) {
-          for (int i = 0; i < n1; ++i) {
-            const std::size_t p = i + std::size_t(n1) * j;
-            // Same inputs, same bits: fma differs from scalar, never from
-            // itself.
-            ASSERT_EQ(got[p], again[p])
-                << bk->name << " n1=" << n1 << " n2=" << n2 << " i=" << i
-                << " j=" << j;
-            ASSERT_LE(std::fabs(got[p] - ref[p]),
-                      fma_tol(a.data(), n1, b.data(), n2, i, j))
-                << bk->name << " n1=" << n1 << " n2=" << n2 << " i=" << i
-                << " j=" << j;
-          }
-        }
-      }
-    }
-  }
+// Every specialized N plus two beyond the kernel table, where the production
+// path falls back to the runtime mxm().
+std::vector<int> parity_ns() {
+  std::vector<int> ns;
+  for (int n = kMinDispatchN; n <= kMaxDispatchN; ++n) ns.push_back(n);
+  ns.push_back(26);
+  ns.push_back(30);
+  return ns;
 }
 
 TEST(DispatchParity, EveryBackendGradMatchesScalarForAllNAndDirections) {
-  // grad_backend under every Backend vs the kScalar reference, for every
-  // dispatched n plus one beyond the table (n=27: the SIMD/fixed-N paths
-  // must degrade to the runtime kernel, still bit-exact). The fma bound
-  // reuses the absolute-value trick: running the scalar gradient on
-  // |d|, |u| yields sum_l |d * u| at every output point.
+  // grad_dispatch (the solver's only derivative path) against the kBasic
+  // reference loops, every direction, bit for bit.
+  using cmtbone::kernels::grad_r;
+  using cmtbone::kernels::grad_s;
+  using cmtbone::kernels::grad_t;
   const int nel = 3;
-  std::vector<int> ns;
-  for (int n = kMinDispatchN; n <= kMaxDispatchN; ++n) ns.push_back(n);
-  ns.push_back(kMaxDispatchN + 2);
-  for (int n : ns) {
+  for (int n : parity_ns()) {
+    EXPECT_EQ(cmtbone::kernels::selected_backend(n),
+              n <= kMaxDispatchN ? Backend::kBatched : Backend::kScalar)
+        << "n=" << n;
     const std::size_t pts = std::size_t(n) * n * n * nel;
     auto d = random_vec(std::size_t(n) * n, 1000u + n);
     auto u = random_vec(pts, 2000u + n);
-    std::vector<double> ad(d.size()), au(u.size());
-    for (std::size_t p = 0; p < d.size(); ++p) ad[p] = std::fabs(d[p]);
-    for (std::size_t p = 0; p < u.size(); ++p) au[p] = std::fabs(u[p]);
+    std::vector<double> ref(pts, 0.0), got(pts, -5.0);
     for (int dir = 0; dir < 3; ++dir) {
-      std::vector<double> ref(pts, 0.0), mag(pts, 0.0), got(pts, 0.0);
-      cmtbone::kernels::grad_backend(Backend::kScalar, dir, d.data(),
-                                     u.data(), ref.data(), n, nel);
-      cmtbone::kernels::grad_backend(Backend::kScalar, dir, ad.data(),
-                                     au.data(), mag.data(), n, nel);
-      for (Backend b : cmtbone::kernels::all_backends()) {
-        if (b == Backend::kScalar) continue;
-        std::fill(got.begin(), got.end(), -5.0);
-        cmtbone::kernels::grad_backend(b, dir, d.data(), u.data(), got.data(),
-                                       n, nel);
-        for (std::size_t p = 0; p < pts; ++p) {
-          if (cmtbone::kernels::backend_bit_identical(b)) {
-            ASSERT_EQ(ref[p], got[p])
-                << cmtbone::kernels::backend_name(b) << " n=" << n
-                << " dir=" << dir << " point=" << p;
-          } else {
-            ASSERT_LE(std::fabs(got[p] - ref[p]),
-                      2.0 * n * DBL_EPSILON * mag[p] + 1e-300)
-                << cmtbone::kernels::backend_name(b) << " n=" << n
-                << " dir=" << dir << " point=" << p;
-          }
-        }
+      switch (dir) {
+        case 0:
+          grad_r(GradVariant::kBasic, d.data(), u.data(), ref.data(), n, nel);
+          break;
+        case 1:
+          grad_s(GradVariant::kBasic, d.data(), u.data(), ref.data(), n, nel);
+          break;
+        default:
+          grad_t(GradVariant::kBasic, d.data(), u.data(), ref.data(), n, nel);
+      }
+      std::fill(got.begin(), got.end(), -5.0);
+      cmtbone::kernels::grad_dispatch(dir, d.data(), u.data(), got.data(), n,
+                                      nel);
+      for (std::size_t p = 0; p < pts; ++p) {
+        ASSERT_EQ(ref[p], got[p]) << "n=" << n << " dir=" << dir
+                                  << " point=" << p;
       }
     }
   }
 }
 
 TEST(DispatchParity, TensorApplyBitIdenticalUnderEveryBitExactBackend) {
-  // tensor_apply3 routes its contractions through dispatch_mxm; forcing
-  // each bit-exact backend must leave interpolation results untouched at
-  // the bit level (this path feeds the golden-checked dealiased physics).
-  using cmtbone::kernels::ScopedBackendForce;
-  for (int n : {4, 8}) {
-    auto op = cmtbone::sem::Operators::build(n);
-    const int m = op.m;
-    auto u = random_vec(std::size_t(n) * n * n, 60u + n);
-    std::vector<double> fine(std::size_t(m) * m * m, 0.0);
-    std::vector<double> work(cmtbone::kernels::tensor_work_size(m, m));
-    std::vector<double> want;
-    {
-      ScopedBackendForce force(Backend::kScalar);
-      cmtbone::kernels::tensor_apply3(op.interp.data(), op.interp_t.data(), m,
-                                      n, u.data(), fine.data(), work.data());
-      want = fine;
-    }
-    for (Backend b :
-         {Backend::kFixedN, Backend::kSimd, Backend::kBatched}) {
-      ScopedBackendForce force(b);
-      std::fill(fine.begin(), fine.end(), -9.0);
-      cmtbone::kernels::tensor_apply3(op.interp.data(), op.interp_t.data(), m,
-                                      n, u.data(), fine.data(), work.data());
-      for (std::size_t p = 0; p < fine.size(); ++p) {
-        ASSERT_EQ(want[p], fine[p]) << cmtbone::kernels::backend_name(b)
-                                    << " n=" << n << " point=" << p;
+  // tensor_apply3 (the dealiasing path) against the same three contractions
+  // spelled with the runtime mxm(), bit for bit.
+  for (int n : parity_ns()) {
+    const int m = n + 2;  // a fine-mesh interpolation shape
+    auto a = random_vec(std::size_t(m) * n, 60u + n);
+    std::vector<double> at(a.size());
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        at[j + std::size_t(n) * i] = a[i + std::size_t(m) * j];
       }
+    }
+    auto u = random_vec(std::size_t(n) * n * n, 70u + n);
+    const std::size_t m3 = std::size_t(m) * m * m;
+    std::vector<double> t1(std::size_t(m) * n * n), t2(std::size_t(m) * m * n);
+    std::vector<double> want(m3), got(m3, -9.0);
+    cmtbone::kernels::mxm(a.data(), m, u.data(), n, t1.data(), n * n);
+    for (int k = 0; k < n; ++k) {
+      cmtbone::kernels::mxm(t1.data() + std::size_t(k) * m * n, m, at.data(),
+                            n, t2.data() + std::size_t(k) * m * m, m);
+    }
+    cmtbone::kernels::mxm(t2.data(), m * m, at.data(), n, want.data(), m);
+
+    std::vector<double> work(cmtbone::kernels::tensor_work_size(m, n));
+    cmtbone::kernels::tensor_apply3(a.data(), at.data(), m, n, u.data(),
+                                    got.data(), work.data());
+    for (std::size_t p = 0; p < m3; ++p) {
+      ASSERT_EQ(want[p], got[p]) << "n=" << n << " point=" << p;
     }
   }
 }

@@ -266,28 +266,4 @@ TEST(Nekbone, GsMethodDoesNotChangeTheSolve) {
   EXPECT_NEAR(norms[2], norms[0], 1e-8 * std::max(norms[0], 1.0));
 }
 
-TEST(Nekbone, MxmFixedVariantBitIdenticalStiffnessOperator) {
-  // The stiffness operator routes its derivative contractions through the
-  // gradient kernels; the fixed-N mxm dispatch must not change a single bit
-  // of the result relative to the basic reference loops.
-  cmtbone::comm::run(1, [](Comm& world) {
-    NekboneConfig cfg = small_config(5, 2);
-    cfg.variant = cmtbone::kernels::GradVariant::kBasic;
-    Nekbone basic(world, cfg);
-    cfg.variant = cmtbone::kernels::GradVariant::kMxmFixed;
-    Nekbone fixed(world, cfg);
-
-    std::vector<double> u(basic.points());
-    basic.evaluate([](double x, double y, double z) {
-      return std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y) + z * z * x;
-    }, std::span<double>(u));
-    std::vector<double> au_basic(u.size()), au_fixed(u.size());
-    basic.apply_ax(u, std::span<double>(au_basic));
-    fixed.apply_ax(u, std::span<double>(au_fixed));
-    for (std::size_t p = 0; p < u.size(); ++p) {
-      ASSERT_EQ(au_basic[p], au_fixed[p]) << "point " << p;
-    }
-  });
-}
-
 }  // namespace
