@@ -94,6 +94,17 @@ int integrator_order(TimeIntegrator t) {
 }
 
 namespace {
+// Volume-term block budget in points: one block's nf flux arrays, derivative
+// and rhs slices stay cache-resident through all three axes.
+constexpr std::size_t kBlockPoints = 4096;
+
+// Per-thread scratch (pool workers serve every rank, so not per Driver).
+double* thread_scratch(std::size_t count) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
+}
+
 mesh::BoxSpec make_spec(const Config& cfg, int nranks) {
   mesh::BoxSpec spec;
   spec.n = cfg.n;
@@ -223,8 +234,6 @@ void Driver::rebuild_topology() {
   alloc_fields(u1_);
   alloc_fields(u2_);
   alloc_fields(rhs_);
-  alloc_fields(flux_);
-  grad_scratch_.assign(pts_, 0.0);
   if (config_.particles_per_rank > 0) {
     for (auto& buf : carrier_) buf.assign(pts_, 0.0);
   }
@@ -368,9 +377,7 @@ void Driver::compute_rhs(const std::vector<std::vector<double>>& u,
   // repartitioner makes.)
   prof::CpuTimer cost_timer;
   rhs_particle_seconds_ = 0.0;
-  for (int f = 0; f < nfields(); ++f) {
-    std::fill(rhs[f].begin(), rhs[f].end(), 0.0);
-  }
+  // No zero-fill: the volume term's first axis writes every rhs entry.
   if (config_.overlap) {
     compute_rhs_overlap(u, rhs);
   } else {
@@ -468,8 +475,8 @@ void Driver::volume_term(const std::vector<std::vector<double>>& u,
   if (elems.empty()) return;
   prof::ScopedRegion ax_region("ax_ (flux divergence)");
   // Elements are independent — each chunk writes only its own elements'
-  // slices of rhs/flux_/grad_scratch_ — so splitting the list across pool
-  // threads leaves every bit of the result unchanged.
+  // slices of rhs and its thread's block scratch — so splitting the list
+  // across pool threads leaves every bit of the result unchanged.
   parallel::for_elements(
       elems.size(), parallel::default_grain(elems.size(), threads_), threads_,
       [&](std::size_t lo, std::size_t hi) {
@@ -484,45 +491,48 @@ void Driver::volume_term_range(const std::vector<std::vector<double>>& u,
   const int n = config_.n;
   const int nf = nfields();
   const std::size_t epts = std::size_t(n) * n * n;
-  const double* uptr[kMaxFields];
-  for (int f = 0; f < nf; ++f) uptr[f] = u[f].data();
-  double* fptr[kMaxFields];
-  for (int f = 0; f < nf; ++f) fptr[f] = flux_[f].data();
+  const std::size_t max_block = std::max<std::size_t>(1, kBlockPoints / epts);
+  const std::size_t cap = max_block * epts;
+  double* grad = thread_scratch((nf + 1) * cap);
+  double* flux[kMaxFields];
+  for (int f = 0; f < nf; ++f) flux[f] = grad + (f + 1) * cap;
 
-  // Process maximal runs of consecutive elements so the full list (the
-  // blocking path) keeps its single bulk kernel call per direction and the
-  // interior/boundary lists batch their x-rows. Per-element results do not
-  // depend on the batching — the kernels treat elements independently. On a
-  // stretched mesh a run also breaks where the element extents change,
-  // because the batched kernels take one scalar scale per axis.
+  // A block is a run of up to max_block consecutive elements, also broken
+  // where a stretched mesh changes the extents (the kernels take one scale
+  // per axis); it finishes all three axes before the next starts. Kernels
+  // treat elements independently and each rhs entry sees the staged
+  // operations in their order (axis 0..2), so no bit depends on blocking.
   std::size_t i = lo;
   while (i < hi) {
     std::size_t j = i + 1;
-    while (j < hi && elems[j] == elems[j - 1] + 1 &&
+    while (j < hi && j - i < max_block && elems[j] == elems[j - 1] + 1 &&
            (uniform_mesh_ || elem_h_[std::size_t(elems[j])] ==
                                  elem_h_[std::size_t(elems[j - 1])])) {
       ++j;
     }
-    // (runs never merge across chunk boundaries; per-element bits are
-    // batching-invariant, so the split is harmless)
     const int e0 = elems[i];
     const int m = int(j - i);
     const std::size_t base = std::size_t(e0) * epts;
     const std::size_t cnt = std::size_t(m) * epts;
     i = j;
-    const std::array<double, 3> eh = {elem_h(e0, 0), elem_h(e0, 1),
-                                      elem_h(e0, 2)};
+    const double* ublk[kMaxFields];
+    for (int f = 0; f < nf; ++f) ublk[f] = u[f].data() + base;
 
     for (int axis = 0; axis < 3; ++axis) {
-      // Pointwise axis flux of every field.
-      system_->flux_range(uptr, fptr, base, base + cnt, axis);
-      // d(flux)/d(axis) through the one contraction path.
-      const double scale = 2.0 / eh[axis];
+      system_->flux_range(ublk, flux, 0, cnt, axis);
+      const double scale = 2.0 / elem_h(e0, axis);
       for (int f = 0; f < nf; ++f) {
-        kernels::grad_dispatch(axis, ops_.d.data(), flux_[f].data() + base,
-                               grad_scratch_.data() + base, n, m);
-        for (std::size_t p = base; p < base + cnt; ++p) {
-          rhs[f][p] -= scale * grad_scratch_[p];
+        kernels::grad_dispatch(axis, ops_.d.data(), ops_.dt.data(), flux[f],
+                               grad, n, m);
+        double* r = rhs[f].data() + base;
+        // Axis 0 folds in the zero-fill: 0.0 - x, sign of zero included.
+        if (axis == 0) {
+          kernels::elementwise(
+              r, cnt, [scale](auto g) { return 0.0 - scale * g; }, grad);
+        } else {
+          kernels::elementwise(
+              r, cnt, [scale](auto a, auto g) { return a - scale * g; }, r,
+              grad);
         }
       }
     }
@@ -590,40 +600,50 @@ void Driver::surface_term_range(std::vector<std::vector<double>>& rhs,
   const int n = config_.n;
   const int nf = nfields();
   const std::size_t fsz = mesh::face_array_size(n, layout_.nel());
-  const std::vector<double>& w = ops_.rule.weights;
-  const double w_edge = w[0];  // == w[n-1]
+  const double w_edge = ops_.rule.weights[0];  // == w[n-1]
   const std::size_t elem = std::size_t(n) * n * n;
+  // A batch is one element's two faces along an axis: 2 n^2 points that sit
+  // contiguously in every field's face array.
+  const std::size_t nn = std::size_t(n) * n, fpts = 2 * nn;
+  double* lam_in = thread_scratch((2 * nf + 2) * fpts);
+  double* lam_out = lam_in + fpts;
+  double *fin[kMaxFields], *fout[kMaxFields];
+  for (int f = 0; f < nf; ++f) {
+    fin[f] = lam_in + (2 + f) * fpts;
+    fout[f] = lam_in + (2 + nf + f) * fpts;
+  }
 
   for (std::size_t ei = lo; ei < hi; ++ei) {
     const int e = elems[ei];
-    for (int face = 0; face < mesh::kFacesPerElement; ++face) {
-      const int axis = mesh::face_axis(face);
-      const double sign = mesh::face_side(face) == 0 ? -1.0 : 1.0;
+    for (int axis = 0; axis < 3; ++axis) {
+      // Flux and signal speed of both face states over the batch, then the
+      // Rusanov lift face by face in order 0..5: every rhs entry sees the
+      // per-point operation sequence unchanged.
+      const std::size_t off = mesh::face_offset(2 * axis, e, n);
+      const double *uin[kMaxFields], *uout[kMaxFields];
+      for (int f = 0; f < nf; ++f) {
+        uin[f] = myfaces_.data() + f * fsz + off;
+        uout[f] = nbrfaces_.data() + f * fsz + off;
+      }
+      system_->flux_range(uin, fin, 0, fpts, axis);
+      system_->flux_range(uout, fout, 0, fpts, axis);
+      system_->wavespeed_range(uin, lam_in, 0, fpts, axis);
+      system_->wavespeed_range(uout, lam_out, 0, fpts, axis);
       const double lift = 2.0 / elem_h(e, axis) / w_edge;
-      for (int b = 0; b < n; ++b) {
-        for (int a = 0; a < n; ++a) {
-          const std::size_t foff =
-              mesh::face_offset(face, e, n) + a + std::size_t(n) * b;
-          const std::size_t voff =
-              e * elem + mesh::face_point_volume_index(face, a, b, n);
-          // Gather the two face states, evaluate the system's pointwise
-          // flux and signal speed, and lift the Rusanov correction. For
-          // both historical physics branches this performs the exact
-          // per-point operation sequence the hard-coded code did.
-          double uin[kMaxFields], uout[kMaxFields];
-          double fin[kMaxFields], fout[kMaxFields];
-          for (int f = 0; f < nf; ++f) {
-            uin[f] = myfaces_[f * fsz + foff];
-            uout[f] = nbrfaces_[f * fsz + foff];
-          }
-          system_->flux_point(uin, fin, axis);
-          system_->flux_point(uout, fout, axis);
-          const double lambda = std::max(system_->wavespeed_point(uin, axis),
-                                         system_->wavespeed_point(uout, axis));
-          for (int f = 0; f < nf; ++f) {
-            double fstar =
-                rusanov(fin[f], fout[f], uin[f], uout[f], lambda, sign);
-            rhs[f][voff] -= lift * sign * (fstar - fin[f]);
+      for (int side = 0; side < 2; ++side) {
+        const int face = 2 * axis + side;
+        const double sign = side == 0 ? -1.0 : 1.0;
+        for (int b = 0; b < n; ++b) {
+          for (int a = 0; a < n; ++a) {
+            const std::size_t q = side * nn + a + std::size_t(n) * b;
+            const std::size_t voff =
+                e * elem + mesh::face_point_volume_index(face, a, b, n);
+            const double lambda = std::max(lam_in[q], lam_out[q]);
+            for (int f = 0; f < nf; ++f) {
+              const double fstar = rusanov(fin[f][q], fout[f][q], uin[f][q],
+                                           uout[f][q], lambda, sign);
+              rhs[f][voff] -= lift * sign * (fstar - fin[f][q]);
+            }
           }
         }
       }
@@ -697,13 +717,12 @@ void Driver::step() {
       std::vector<std::vector<double>>* next =
           (s == stages - 1) ? &u_ : &u1_;
       const double a = tab[s].a, b = tab[s].b;
+      const auto stage = [a, b, dt](auto u0, auto up, auto r) {
+        return a * u0 + b * (up + dt * r);
+      };
       for (int f = 0; f < nf; ++f) {
-        const std::vector<double>& u0 = u_[f];
-        const std::vector<double>& up = (*prev)[f];
-        std::vector<double>& un = (*next)[f];
-        for (std::size_t p = 0; p < pts_; ++p) {
-          un[p] = a * u0[p] + b * (up[p] + dt * rhs_[f][p]);
-        }
+        kernels::elementwise((*next)[f].data(), pts_, stage, u_[f].data(),
+                             (*prev)[f].data(), rhs_[f].data());
       }
       prev = next;
     }
@@ -746,32 +765,30 @@ void Driver::step_rk4(double dt) {
   const int nf = nfields();
   const double half = 0.5 * dt;
 
+  // out = x + c*k, elementwise (out may alias x exactly).
+  auto axpy = [&](auto& out, const auto& x, double c) {
+    for (int f = 0; f < nf; ++f) {
+      kernels::elementwise(
+          out[f].data(), pts_, [c](auto xv, auto r) { return xv + c * r; },
+          x[f].data(), rhs_[f].data());
+    }
+  };
+
   compute_rhs(u_, rhs_);  // k1
-  for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u2_[f][p] = rhs_[f][p];  // acc = k1
-      u1_[f][p] = u_[f][p] + half * rhs_[f][p];
-    }
-  }
+  for (int f = 0; f < nf; ++f) u2_[f] = rhs_[f];  // acc = k1
+  axpy(u1_, u_, half);
   compute_rhs(u1_, rhs_);  // k2
-  for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u2_[f][p] += 2.0 * rhs_[f][p];
-      u1_[f][p] = u_[f][p] + half * rhs_[f][p];
-    }
-  }
+  axpy(u2_, u2_, 2.0);
+  axpy(u1_, u_, half);
   compute_rhs(u1_, rhs_);  // k3
-  for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u2_[f][p] += 2.0 * rhs_[f][p];
-      u1_[f][p] = u_[f][p] + dt * rhs_[f][p];
-    }
-  }
+  axpy(u2_, u2_, 2.0);
+  axpy(u1_, u_, dt);
   compute_rhs(u1_, rhs_);  // k4
   for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u_[f][p] += (dt / 6.0) * (u2_[f][p] + rhs_[f][p]);
-    }
+    kernels::elementwise(
+        u_[f].data(), pts_,
+        [c = dt / 6.0](auto u, auto acc, auto r) { return u + c * (acc + r); },
+        u_[f].data(), u2_[f].data(), rhs_[f].data());
   }
 }
 

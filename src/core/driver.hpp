@@ -262,10 +262,8 @@ class Driver {
   long steps_ = 0;
 
   std::size_t pts_ = 0;  // n^3 * nel
-  // Fields and scratch, one vector per conserved variable.
+  // Fields and stage state, one vector per conserved variable.
   std::vector<std::vector<double>> u_, u1_, u2_, rhs_;
-  std::vector<std::vector<double>> flux_;   // pointwise flux, per field
-  std::vector<double> grad_scratch_;
   std::vector<double> myfaces_, nbrfaces_;  // nfields stacked face arrays
   std::vector<double> dealias_fine_, dealias_back_, dealias_work_;
   double dealias_checksum_ = 0.0;

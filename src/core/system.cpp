@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/flux.hpp"
+#include "kernels/vecops.hpp"
 
 namespace cmtbone::core {
 
@@ -48,19 +49,14 @@ class LinearAdvectionSystem : public HyperbolicSystem {
                   std::size_t hi, int axis) const override {
     const double c = config_.velocity[axis];
     for (int field = 0; field < nf_; ++field) {
-      for (std::size_t p = lo; p < hi; ++p) {
-        f[field][p] = c * u[field][p];
-      }
+      kernels::elementwise(f[field] + lo, hi - lo,
+                           [c](auto x) { return c * x; }, u[field] + lo);
     }
   }
 
-  void flux_point(const double* u, double* f, int axis) const override {
-    const double c = config_.velocity[axis];
-    for (int field = 0; field < nf_; ++field) f[field] = c * u[field];
-  }
-
-  double wavespeed_point(const double*, int axis) const override {
-    return std::abs(config_.velocity[axis]);
+  void wavespeed_range(const double* const*, double* out, std::size_t lo,
+                       std::size_t hi, int axis) const override {
+    std::fill(out + lo, out + hi, std::abs(config_.velocity[axis]));
   }
 
   double max_wavespeed(const double* const*, std::size_t, std::size_t,
@@ -116,18 +112,14 @@ class BurgersSystem : public HyperbolicSystem {
   void flux_range(const double* const* u, double* const* f, std::size_t lo,
                   std::size_t hi, int axis) const override {
     const double ha = 0.5 * config_.velocity[axis];
-    for (std::size_t p = lo; p < hi; ++p) {
-      f[0][p] = ha * u[0][p] * u[0][p];
-    }
+    kernels::elementwise(f[0] + lo, hi - lo,
+                         [ha](auto x) { return ha * x * x; }, u[0] + lo);
   }
 
-  void flux_point(const double* u, double* f, int axis) const override {
-    const double ha = 0.5 * config_.velocity[axis];
-    f[0] = ha * u[0] * u[0];
-  }
-
-  double wavespeed_point(const double* u, int axis) const override {
-    return std::abs(config_.velocity[axis] * u[0]);
+  void wavespeed_range(const double* const* u, double* out, std::size_t lo,
+                       std::size_t hi, int axis) const override {
+    const double a = config_.velocity[axis];
+    for (std::size_t p = lo; p < hi; ++p) out[p] = std::abs(a * u[0][p]);
   }
 
   double max_wavespeed(const double* const* u, std::size_t lo, std::size_t hi,
@@ -235,19 +227,12 @@ class EulerSystem : public HyperbolicSystem {
     }
   }
 
-  void flux_point(const double* u, double* f, int axis) const override {
-    State5 s{u[0], u[1], u[2], u[3], u[4]};
-    State5 fl = euler_flux(s, axis, config_.gamma);
-    f[0] = fl.rho;
-    f[1] = fl.mx;
-    f[2] = fl.my;
-    f[3] = fl.mz;
-    f[4] = fl.e;
-  }
-
-  double wavespeed_point(const double* u, int axis) const override {
-    State5 s{u[0], u[1], u[2], u[3], u[4]};
-    return euler_wavespeed(s, axis, config_.gamma);
+  void wavespeed_range(const double* const* u, double* out, std::size_t lo,
+                       std::size_t hi, int axis) const override {
+    for (std::size_t p = lo; p < hi; ++p) {
+      State5 s{u[0][p], u[1][p], u[2][p], u[3][p], u[4][p]};
+      out[p] = euler_wavespeed(s, axis, config_.gamma);
+    }
   }
 
   double max_wavespeed(const double* const* u, std::size_t lo, std::size_t hi,

@@ -5,10 +5,10 @@
 // and Euler) behind `if (physics == ...)` branches. Following the shape of
 // MFEM's hypsys miniapp (advection / Burgers / Euler behind one
 // HyperbolicSystem class), the pointwise physics now lives behind this
-// interface: the conserved-field count, the axis flux (bulk and
-// single-point flavors matching the volume / surface call sites), the signal
-// speed for the CFL bound and the Rusanov dissipation, the particle carrier
-// velocity, admissibility of a state, and the analytic initial/exact
+// interface: the conserved-field count, the axis flux and pointwise signal
+// speed over point ranges (the volume term's element blocks and the surface
+// term's face batches), the max signal speed for the CFL bound, the particle
+// carrier velocity, admissibility of a state, and the analytic initial/exact
 // solutions where the scenario has them.
 //
 // Contract for implementations: the range methods must perform the same
@@ -62,12 +62,11 @@ class HyperbolicSystem {
   virtual void flux_range(const double* const* u, double* const* f,
                           std::size_t lo, std::size_t hi, int axis) const = 0;
 
-  /// Axis flux at a single point: u[0..nfields) -> f[0..nfields) (the
-  /// surface / Rusanov path).
-  virtual void flux_point(const double* u, double* f, int axis) const = 0;
-
-  /// Fastest signal speed at a single point along `axis`.
-  virtual double wavespeed_point(const double* u, int axis) const = 0;
+  /// Fastest signal speed along `axis` at every point of [lo, hi):
+  /// u[f][p] -> out[p] (the Rusanov dissipation of the surface term).
+  virtual void wavespeed_range(const double* const* u, double* out,
+                               std::size_t lo, std::size_t hi,
+                               int axis) const = 0;
 
   /// Max signal speed over [lo, hi) along `axis` (the CFL bound). Linear
   /// systems return the constant without touching memory.

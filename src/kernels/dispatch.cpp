@@ -55,11 +55,11 @@ Backend selected_backend(int n) {
 
 // r: out = D * U over every element at once (U viewed as N x N^2 nel — the
 // per-element output columns are independent, so one call is bit-preserving).
-// s and t contract against rows of D, i.e. right-multiply by D^T, staged once
-// per call: s per k-slab, t per element. Per output entry the accumulation
-// runs over l ascending, exactly like kBasic.
-void grad_dispatch(int dir, const double* d, const double* u, double* out,
-                   int n, int nel) {
+// s and t contract against rows of D, i.e. right-multiply by D^T: s per
+// k-slab, t per element. Per output entry the accumulation runs over l
+// ascending, exactly like kBasic.
+void grad_dispatch(int dir, const double* d, const double* dt,
+                   const double* u, double* out, int n, int nel) {
   const MxmFixedFn f = mxm_fixed_kernel(n);
   auto contract = [&](const double* a, int n1, const double* b, double* c,
                       int n3) {
@@ -73,21 +73,7 @@ void grad_dispatch(int dir, const double* d, const double* u, double* out,
   const std::size_t n2 = std::size_t(n) * n;
   if (dir == 0) {
     contract(d, n, u, out, int(n2) * nel);
-    return;
-  }
-  double dt_stack[32 * 32];
-  std::vector<double> dt_heap;
-  double* dt = dt_stack;
-  if (n > 32) {
-    dt_heap.resize(n2);
-    dt = dt_heap.data();
-  }
-  for (int l = 0; l < n; ++l) {
-    for (int j = 0; j < n; ++j) {
-      dt[l + std::size_t(n) * j] = d[j + std::size_t(n) * l];
-    }
-  }
-  if (dir == 1) {
+  } else if (dir == 1) {
     for (int e = 0; e < nel; ++e) {
       for (int k = 0; k < n; ++k) {
         contract(u + e * stride + k * n2, n, dt, out + e * stride + k * n2, n);
@@ -98,6 +84,28 @@ void grad_dispatch(int dir, const double* d, const double* u, double* out,
       contract(u + e * stride, int(n2), dt, out + e * stride, n);
     }
   }
+}
+
+// The public form stages D^T once per call.
+void grad_dispatch(int dir, const double* d, const double* u, double* out,
+                   int n, int nel) {
+  if (dir == 0) {
+    grad_dispatch(dir, d, nullptr, u, out, n, nel);
+    return;
+  }
+  double dt_stack[32 * 32];
+  std::vector<double> dt_heap;
+  double* dt = dt_stack;
+  if (n > 32) {
+    dt_heap.resize(std::size_t(n) * n);
+    dt = dt_heap.data();
+  }
+  for (int l = 0; l < n; ++l) {
+    for (int j = 0; j < n; ++j) {
+      dt[l + std::size_t(n) * j] = d[j + std::size_t(n) * l];
+    }
+  }
+  grad_dispatch(dir, d, dt, u, out, n, nel);
 }
 
 }  // namespace cmtbone::kernels

@@ -3,8 +3,9 @@
 //
 // Every derivative the solver takes runs the element-batched explicit-SIMD
 // kernels of simd_backend.hpp: the r-direction contracts all elements in one
-// call, and s/t stage D^T once per field call. The code makes two choices,
-// both from things it can observe and neither a user option:
+// call, and s/t contract against D^T (passed in by the solver, staged per
+// call otherwise). The code makes two choices, both from things it can
+// observe and neither a user option:
 //
 //   * instruction set — the widest compiled-in TU this CPU supports
 //     (AVX-512 → AVX2 → portable);
@@ -42,5 +43,11 @@ Backend selected_backend(int n);
 /// bit-identical to grad_r/s/t(GradVariant::kBasic, ...).
 void grad_dispatch(int dir, const double* d, const double* u, double* out,
                    int n, int nel);
+
+/// The same derivative with D^T (`dt`, laid out as sem::Operators::dt)
+/// supplied by the caller, so repeated s/t calls skip restaging it; `dt` is
+/// unused for dir 0. The solver's per-block entry point.
+void grad_dispatch(int dir, const double* d, const double* dt,
+                   const double* u, double* out, int n, int nel);
 
 }  // namespace cmtbone::kernels

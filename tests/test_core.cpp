@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
+#include "core/flux.hpp"
+#include "kernels/gradient.hpp"
+#include "mesh/faces.hpp"
+#include "mesh/geometry.hpp"
 
 namespace {
 
@@ -506,5 +512,208 @@ TEST(Driver, MismatchedProcessorGridThrows) {
     EXPECT_THROW(Driver(world, cfg), std::invalid_argument);
   });
 }
+
+// --- staged oracle -----------------------------------------------------------
+//
+// The driver's RHS works one cache-sized element block at a time and batches
+// each element's face pairs. It must stay bit-identical to the plain staged
+// formulation built here from public pieces: whole-rank flux, the scalar
+// reference derivative, the rhs axpy; then full2face, the face exchange, and
+// the per-point Rusanov lift.
+
+struct OracleCase {
+  std::string name;
+  Physics physics;
+  int n;
+  std::array<int, 3> elems;
+  int threads;
+  bool stretched;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<std::vector<double>> staged_forward_euler(Driver& driver,
+                                                      double dt) {
+  const Config& cfg = driver.config();
+  const cmtbone::core::HyperbolicSystem& sys = driver.system();
+  const auto& layout = driver.element_layout();
+  const int n = cfg.n;
+  const int nel = layout.nel();
+  const int nf = driver.nfields();
+  const std::size_t elem = std::size_t(n) * n * n;
+  const std::size_t pts = elem * nel;
+  const std::vector<double>& d = driver.operators().d;
+  const double w_edge = driver.operators().rule.weights[0];
+  const int counts[3] = {cfg.ex, cfg.ey, cfg.ez};
+  std::array<std::vector<double>, 3> widths;
+  for (int axis = 0; axis < 3; ++axis) {
+    widths[axis] =
+        cmtbone::mesh::axis_widths(cfg.mesh_map[axis], counts[axis]);
+  }
+  auto elem_h = [&](int e, int axis) {
+    return widths[axis][std::size_t(layout.global_coords(e)[axis])];
+  };
+
+  std::vector<std::vector<double>> u(nf);
+  std::vector<std::vector<double>> rhs(nf, std::vector<double>(pts, 0.0));
+  std::vector<std::vector<double>> flux(nf, std::vector<double>(pts));
+  std::vector<double> grad(pts);
+  const double* uptr[cmtbone::core::kMaxFields];
+  double* fptr[cmtbone::core::kMaxFields];
+  for (int f = 0; f < nf; ++f) {
+    u[f].assign(driver.field(f).begin(), driver.field(f).end());
+    uptr[f] = u[f].data();
+    fptr[f] = flux[f].data();
+  }
+
+  using cmtbone::kernels::GradVariant;
+  for (int axis = 0; axis < 3; ++axis) {
+    sys.flux_range(uptr, fptr, 0, pts, axis);
+    for (int f = 0; f < nf; ++f) {
+      auto* grad_fn = axis == 0   ? &cmtbone::kernels::grad_r
+                      : axis == 1 ? &cmtbone::kernels::grad_s
+                                  : &cmtbone::kernels::grad_t;
+      grad_fn(GradVariant::kBasic, d.data(), flux[f].data(), grad.data(), n,
+              nel);
+      for (int e = 0; e < nel; ++e) {
+        const double scale = 2.0 / elem_h(e, axis);
+        for (std::size_t p = e * elem; p < (e + 1) * elem; ++p) {
+          rhs[f][p] -= scale * grad[p];
+        }
+      }
+    }
+  }
+
+  const std::size_t fsz = cmtbone::mesh::face_array_size(n, nel);
+  std::vector<double> mine(fsz * nf), nbr(fsz * nf);
+  for (int f = 0; f < nf; ++f) {
+    cmtbone::mesh::full2face(u[f].data(), mine.data() + f * fsz, n, nel);
+  }
+  driver.face_exchange().exchange(mine.data(), nbr.data(), nf);
+  for (int e = 0; e < nel; ++e) {
+    for (int face = 0; face < cmtbone::mesh::kFacesPerElement; ++face) {
+      const int axis = cmtbone::mesh::face_axis(face);
+      const double sign = cmtbone::mesh::face_side(face) == 0 ? -1.0 : 1.0;
+      const double lift = 2.0 / elem_h(e, axis) / w_edge;
+      for (int b = 0; b < n; ++b) {
+        for (int a = 0; a < n; ++a) {
+          const std::size_t foff =
+              cmtbone::mesh::face_offset(face, e, n) + a + std::size_t(n) * b;
+          const std::size_t voff =
+              e * elem + cmtbone::mesh::face_point_volume_index(face, a, b, n);
+          constexpr int kMax = cmtbone::core::kMaxFields;
+          double uin[kMax] = {}, uout[kMax] = {}, fin[kMax] = {},
+                 fout[kMax] = {};
+          const double* pin[kMax] = {};
+          const double* pout[kMax] = {};
+          double* qin[kMax] = {};
+          double* qout[kMax] = {};
+          for (int f = 0; f < nf; ++f) {
+            uin[f] = mine[f * fsz + foff];
+            uout[f] = nbr[f * fsz + foff];
+            pin[f] = &uin[f];
+            pout[f] = &uout[f];
+            qin[f] = &fin[f];
+            qout[f] = &fout[f];
+          }
+          double lam_in = 0.0, lam_out = 0.0;
+          sys.flux_range(pin, qin, 0, 1, axis);
+          sys.flux_range(pout, qout, 0, 1, axis);
+          sys.wavespeed_range(pin, &lam_in, 0, 1, axis);
+          sys.wavespeed_range(pout, &lam_out, 0, 1, axis);
+          const double lambda = std::max(lam_in, lam_out);
+          for (int f = 0; f < nf; ++f) {
+            const double fstar = cmtbone::core::rusanov(
+                fin[f], fout[f], uin[f], uout[f], lambda, sign);
+            rhs[f][voff] -= lift * sign * (fstar - fin[f]);
+          }
+        }
+      }
+    }
+  }
+
+  // The forward-Euler stage in the driver's Shu-Osher form (a = 0, b = 1).
+  std::vector<std::vector<double>> next(nf, std::vector<double>(pts));
+  for (int f = 0; f < nf; ++f) {
+    for (std::size_t p = 0; p < pts; ++p) {
+      next[f][p] = 0.0 * u[f][p] + 1.0 * (u[f][p] + dt * rhs[f][p]);
+    }
+  }
+  return next;
+}
+
+class StagedOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(StagedOracle, BlockedStepIsBitIdenticalToStagedReference) {
+  const OracleCase& c = GetParam();
+  Config cfg;
+  cfg.physics = c.physics;
+  cfg.n = c.n;
+  cfg.ex = c.elems[0];
+  cfg.ey = c.elems[1];
+  cfg.ez = c.elems[2];
+  cfg.integrator = cmtbone::core::TimeIntegrator::kForwardEuler;
+  cfg.use_dssum = false;
+  // A power-of-two dt large enough that dt*rhs dominates u: the step then
+  // carries the rhs bits into the fields (with a CFL-sized dt a last-bit
+  // rhs difference would round away below u's ulp).
+  cfg.fixed_dt = 1024.0;
+  cfg.threads_per_rank = c.threads;
+  if (c.stretched) {
+    cfg.mesh_map[0] = {cmtbone::mesh::AxisMapKind::kGeometric, 1.3, 1.0};
+    cfg.mesh_map[2] = {cmtbone::mesh::AxisMapKind::kTanh, 1.5, 1.0};
+  }
+  cmtbone::comm::run(1, [&](Comm& world) {
+    Driver driver(world, cfg);
+    driver.initialize(driver.default_ic());
+    // The default states are continuous across element faces, where the
+    // Rusanov correction vanishes exactly. A pointwise factor (the same for
+    // every field, so Euler pressure stays positive) breaks the continuity
+    // and makes the surface term count.
+    for (int f = 0; f < driver.nfields(); ++f) {
+      auto u = driver.mutable_field(f);
+      for (std::size_t p = 0; p < u.size(); ++p) {
+        u[p] *= 1.0 + 0.01 * std::sin(0.7 * double(p));
+      }
+    }
+    const auto expected = staged_forward_euler(driver, cfg.fixed_dt);
+    driver.step();
+    for (int f = 0; f < driver.nfields(); ++f) {
+      auto got = driver.field(f);
+      ASSERT_EQ(got.size(), expected[f].size());
+      EXPECT_EQ(std::memcmp(got.data(), expected[f].data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "field " << f;
+    }
+  });
+}
+
+// Block budget 4096 points: 151 elements at N=3, 4 at N=10, 1 at N=27 (the
+// runtime mxm fallback). With 3 threads, 7x3x3 elements at N=10 chunk as
+// 6 = 4 + 2, so chunks split blocks unevenly.
+INSTANTIATE_TEST_SUITE_P(
+    Driver, StagedOracle,
+    ::testing::Values(
+        OracleCase{"ProxyN3", Physics::kProxyAdvection, 3, {5, 4, 3}, 1, false},
+        OracleCase{"ProxyN10T1", Physics::kProxyAdvection, 10, {7, 3, 3}, 1,
+                   false},
+        OracleCase{"ProxyN10T3", Physics::kProxyAdvection, 10, {7, 3, 3}, 3,
+                   false},
+        OracleCase{"ProxyN27", Physics::kProxyAdvection, 27, {3, 1, 1}, 1,
+                   false},
+        OracleCase{"BurgersN3T3", Physics::kBurgers, 3, {5, 4, 3}, 3, false},
+        OracleCase{"BurgersN10", Physics::kBurgers, 10, {7, 3, 3}, 1, false},
+        OracleCase{"BurgersN27", Physics::kBurgers, 27, {3, 1, 1}, 1, false},
+        OracleCase{"EulerN3", Physics::kEuler, 3, {5, 4, 3}, 1, false},
+        OracleCase{"EulerN10T3", Physics::kEuler, 10, {7, 3, 3}, 3, false},
+        OracleCase{"EulerN27", Physics::kEuler, 27, {3, 1, 1}, 1, false},
+        OracleCase{"StretchedEulerN10T3", Physics::kEuler, 10, {7, 3, 3}, 3,
+                   true},
+        OracleCase{"StretchedProxyN3", Physics::kProxyAdvection, 3, {5, 4, 3},
+                   1, true}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
