@@ -3,8 +3,8 @@
 //
 // Paper setup: AMD Opteron 6378, gfortran, Nel=1563, N=10, 1000 "steps"
 // (kernel invocations), PAPI counters. Here: the same kernels in C++, with
-// hardware counters via perf_event_open when the kernel allows it,
-// otherwise the analytic instruction model plus TSC cycles. The paper's
+// the analytic instruction model (kernels::grad_instruction_estimate) plus
+// prof::read_cycles() in place of hardware counters. The paper's
 // headline: loop fusion + unroll makes dudt 2.31x and dudr 1.03x faster,
 // while duds gains nothing because its access pattern forbids fusion.
 //
@@ -30,7 +30,6 @@
 #include "bench_common.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/gradient.hpp"
-#include "prof/perf_counters.hpp"
 #include "prof/roofline.hpp"
 #include "prof/timer.hpp"
 #include "sem/operators.hpp"
@@ -43,18 +42,10 @@ namespace {
 struct Measurement {
   double seconds = 0;
   unsigned long long instructions = 0;
+  // prof::read_cycles() ticks: TSC ticks on x86 but steady-clock
+  // *nanoseconds* on other platforms (prof::cycle_unit_name() says which).
   unsigned long long cycles = 0;
-  bool hw = false;
-  // What `cycles` counts: real core cycles from perf_event when hw is true,
-  // otherwise prof::read_cycles() — TSC ticks on x86 but steady-clock
-  // *nanoseconds* on other platforms. Reported next to every count so the
-  // two are never compared as if they shared a unit.
-  const char* cycle_unit = "";
 };
-
-const char* measured_cycle_unit(bool hw) {
-  return hw ? "hw-cycles" : cmtbone::prof::cycle_unit_name();
-}
 
 Measurement measure(cmtbone::kernels::GradVariant v, int dir, const double* d,
                     const double* u, double* out, int n, int nel, int steps) {
@@ -69,24 +60,14 @@ Measurement measure(cmtbone::kernels::GradVariant v, int dir, const double* d,
   call();  // warm up
 
   Measurement m;
-  cmtbone::prof::HwCounters hw;
   cmtbone::prof::WallTimer t;
   auto c0 = cmtbone::prof::read_cycles();
-  hw.start();
   for (int s = 0; s < steps; ++s) call();
-  hw.stop();
   auto c1 = cmtbone::prof::read_cycles();
   m.seconds = t.seconds();
-  m.hw = hw.available();
-  m.cycle_unit = measured_cycle_unit(m.hw);
-  if (m.hw) {
-    m.instructions = hw.instructions();
-    m.cycles = hw.cycles();
-  } else {
-    m.instructions =
-        (unsigned long long)(grad_instruction_estimate(v, n, nel)) * steps;
-    m.cycles = c1 - c0;
-  }
+  m.instructions =
+      (unsigned long long)(grad_instruction_estimate(v, n, nel)) * steps;
+  m.cycles = c1 - c0;
   return m;
 }
 
@@ -312,15 +293,12 @@ int main(int argc, char** argv) {
                          u.data(), out.data(), n, nel, steps);
   }
 
-  const char* unit = measured_cycle_unit(opt[0].hw);
+  const char* unit = prof::cycle_unit_name();
   std::printf(
       "=== Figs. 5/6: derivative kernel loop transformations ===\n"
-      "Nel=%d, N=%d, %d invocations per kernel; counters: %s\n"
-      "cycle unit: %s\n\n",
-      nel, n, steps,
-      opt[0].hw ? "hardware (perf_event)"
-                : "analytic model + prof::read_cycles()",
-      unit);
+      "Nel=%d, N=%d, %d invocations per kernel; counters: analytic model "
+      "+ prof::read_cycles()\ncycle unit: %s\n\n",
+      nel, n, steps, unit);
 
   const std::string cycles_col = std::string("Total Cycles (") + unit + ")";
   util::Table with({"Derivatives", "Runtime (seconds)", "Total instructions",

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "balance/rebalancer.hpp"
@@ -377,117 +378,119 @@ void Driver::compute_rhs(const std::vector<std::vector<double>>& u,
   // repartitioner makes.)
   prof::CpuTimer cost_timer;
   rhs_particle_seconds_ = 0.0;
-  // No zero-fill: the volume term's first axis writes every rhs entry.
-  if (config_.overlap) {
-    compute_rhs_overlap(u, rhs);
-  } else {
-    compute_rhs_blocking(u, rhs);
+  const int nf = nfields();
+  const bool overlap = config_.overlap;
+  const bool direct = config_.face_backend == FaceBackend::kDirect;
+  // Faces whose neighbor values are final once begin() returns. The direct
+  // backend copies every locally-paired face inside begin(), so interior
+  // elements are ready; under the gs backend locally-paired values also
+  // travel through the gs sum, so no face is ready before finish().
+  std::span<const int> ready(all_elems_), rest;
+  if (overlap && direct) {
+    ready = classes_.interior;
+    rest = classes_.boundary;
+  } else if (overlap) {
+    ready = {};
+    rest = all_elems_;
   }
+
+  // Extract the halo and launch the exchange before any volume work:
+  // full2face reads only `u` and the exchange touches only myfaces_ /
+  // nbrfaces_, so starting it ahead of the volume term changes no
+  // floating-point operation. Blocking mode finishes it right away.
+  pack_faces(u);
+  bool remote = false;  // begin() left at least one remote receive posted
+  double begin_s = 0.0;
+  {
+    prof::ScopedRegion r(overlap ? "exchange_begin"
+                                 : "nearest_neighbor_exchange");
+    prof::WallTimer t;
+    if (direct) {
+      exchange_->begin(myfaces_.data(), nbrfaces_.data(), nf);
+      remote = exchange_->receives_posted();
+    } else {
+      std::copy(myfaces_.begin(), myfaces_.end(), nbrfaces_.begin());
+      face_gs_->exec_many_begin(std::span<double>(nbrfaces_), nf,
+                                gs::ReduceOp::kSum);
+      remote = face_gs_->receives_posted();
+    }
+    begin_s = t.seconds();
+    if (!overlap) finish_exchange();
+  }
+
+  prof::WallTimer window;
+  {
+    std::optional<prof::ScopedRegion> r;
+    if (overlap) r.emplace("overlap_window");
+    // No zero-fill: the volume term's first axis writes every rhs entry.
+    volume_term(u, rhs);
+    dealias_term(u);
+    particle_source(rhs);
+    surface_term(rhs, ready);
+  }
+  const double compute_s = window.seconds();
+
+  if (overlap) {
+    double finish_s = 0.0;
+    {
+      prof::ScopedRegion r("exchange_finish");
+      prof::WallTimer t;
+      finish_exchange();
+      finish_s = t.seconds();
+    }
+    surface_term(rhs, rest);
+    // A window can hide communication only when a remote message was in
+    // flight: a single rank, or a crystal/allreduce gs exchange (complete
+    // inside begin), is not counted.
+    if (remote) {
+      ++overlap_stats_.windows;
+      overlap_stats_.begin_seconds += begin_s;
+      overlap_stats_.compute_seconds += compute_s;
+      overlap_stats_.finish_seconds += finish_s;
+    }
+  }
+
   const double grid = cost_timer.seconds() - rhs_particle_seconds_;
   balance_window_.grid_seconds += grid;
   balance_total_.grid_seconds += grid;
 }
 
-void Driver::compute_rhs_blocking(const std::vector<std::vector<double>>& u,
-                                  std::vector<std::vector<double>>& rhs) {
-  volume_term(u, rhs, all_elems_);
-  dealias_term(u);
-  particle_source(rhs);
-  pack_faces(u);
-  exchange_faces();
-  surface_term(rhs, all_elems_);
-}
-
-void Driver::compute_rhs_overlap(const std::vector<std::vector<double>>& u,
-                                 std::vector<std::vector<double>>& rhs) {
-  const int nf = nfields();
-  // Extract the halo and launch the exchange before any volume work:
-  // full2face reads only `u` and the exchange touches only myfaces_ /
-  // nbrfaces_, so hoisting them ahead of the volume term changes no
-  // floating-point operation.
-  pack_faces(u);
-
+void Driver::finish_exchange() {
   if (config_.face_backend == FaceBackend::kDirect) {
-    {
-      prof::ScopedRegion r("exchange_begin");
-      prof::WallTimer t;
-      exchange_->begin(myfaces_.data(), nbrfaces_.data(), nf);
-      overlap_stats_.begin_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("overlap_window");
-      prof::WallTimer t;
-      // Same global phase order as the blocking path — volume, dealias,
-      // particle source, surface — and within each phase the same per-point
-      // operation sequence, so the result bits match exactly.
-      volume_term(u, rhs, classes_.interior);
-      volume_term(u, rhs, classes_.boundary);
-      dealias_term(u);
-      particle_source(rhs);
-      // Every face of an interior element is locally paired, and begin()
-      // performed all local copies — so the interior surface term runs
-      // while the halo messages are still in flight.
-      surface_term(rhs, classes_.interior);
-      overlap_stats_.compute_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("exchange_finish");
-      prof::WallTimer t;
-      exchange_->finish();
-      overlap_stats_.finish_seconds += t.seconds();
-    }
-    surface_term(rhs, classes_.boundary);
-  } else {
-    // gs backend: locally-paired face values also travel through the gs sum
-    // and are only correct after finish(), so no surface work fits in the
-    // window — it covers the volume, dealias and particle phases instead.
-    std::copy(myfaces_.begin(), myfaces_.end(), nbrfaces_.begin());
-    {
-      prof::ScopedRegion r("exchange_begin");
-      prof::WallTimer t;
-      face_gs_->exec_many_begin(std::span<double>(nbrfaces_), nf,
-                                gs::ReduceOp::kSum);
-      overlap_stats_.begin_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("overlap_window");
-      prof::WallTimer t;
-      volume_term(u, rhs, all_elems_);
-      dealias_term(u);
-      particle_source(rhs);
-      overlap_stats_.compute_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("exchange_finish");
-      prof::WallTimer t;
-      face_gs_->exec_many_finish();
-      overlap_stats_.finish_seconds += t.seconds();
-    }
-    gs_faces_subtract();
-    surface_term(rhs, all_elems_);
+    exchange_->finish();
+    return;
   }
-  ++overlap_stats_.windows;
+  face_gs_->exec_many_finish();
+  // Each interior face point has exactly two copies, so the gs_op(add)
+  // yielded mine+neighbor; subtracting my value leaves the neighbor's.
+  // Physical-boundary points (single copy) mirror mine.
+  const std::size_t fsz = mesh::face_array_size(config_.n, layout_.nel());
+  for (int f = 0; f < nfields(); ++f) {
+    double* nbr = nbrfaces_.data() + f * fsz;
+    const double* mine = myfaces_.data() + f * fsz;
+    for (std::size_t s = 0; s < fsz; ++s) {
+      nbr[s] = face_interior_[s] ? nbr[s] - mine[s] : mine[s];
+    }
+  }
 }
 
 void Driver::volume_term(const std::vector<std::vector<double>>& u,
-                         std::vector<std::vector<double>>& rhs,
-                         std::span<const int> elems) {
-  if (elems.empty()) return;
+                         std::vector<std::vector<double>>& rhs) {
+  const std::size_t nel = std::size_t(layout_.nel());
+  if (nel == 0) return;
   prof::ScopedRegion ax_region("ax_ (flux divergence)");
   // Elements are independent — each chunk writes only its own elements'
-  // slices of rhs and its thread's block scratch — so splitting the list
+  // slices of rhs and its thread's block scratch — so splitting the range
   // across pool threads leaves every bit of the result unchanged.
-  parallel::for_elements(
-      elems.size(), parallel::default_grain(elems.size(), threads_), threads_,
-      [&](std::size_t lo, std::size_t hi) {
-        volume_term_range(u, rhs, elems, lo, hi);
-      });
+  parallel::for_elements(nel, parallel::default_grain(nel, threads_), threads_,
+                         [&](std::size_t lo, std::size_t hi) {
+                           volume_term_range(u, rhs, lo, hi);
+                         });
 }
 
 void Driver::volume_term_range(const std::vector<std::vector<double>>& u,
                                std::vector<std::vector<double>>& rhs,
-                               std::span<const int> elems, std::size_t lo,
-                               std::size_t hi) {
+                               std::size_t lo, std::size_t hi) {
   const int n = config_.n;
   const int nf = nfields();
   const std::size_t epts = std::size_t(n) * n * n;
@@ -505,12 +508,11 @@ void Driver::volume_term_range(const std::vector<std::vector<double>>& u,
   std::size_t i = lo;
   while (i < hi) {
     std::size_t j = i + 1;
-    while (j < hi && j - i < max_block && elems[j] == elems[j - 1] + 1 &&
-           (uniform_mesh_ || elem_h_[std::size_t(elems[j])] ==
-                                 elem_h_[std::size_t(elems[j - 1])])) {
+    while (j < hi && j - i < max_block &&
+           (uniform_mesh_ || elem_h_[j] == elem_h_[j - 1])) {
       ++j;
     }
-    const int e0 = elems[i];
+    const int e0 = int(i);
     const int m = int(j - i);
     const std::size_t base = std::size_t(e0) * epts;
     const std::size_t cnt = std::size_t(m) * epts;
@@ -649,32 +651,6 @@ void Driver::surface_term_range(std::vector<std::vector<double>>& rhs,
       }
     }
   }
-}
-
-void Driver::gs_faces_subtract() {
-  // Each interior face point has exactly two copies, so the gs_op(add)
-  // yielded mine+neighbor; subtracting my value leaves the neighbor's.
-  // Physical-boundary points (single copy) mirror mine.
-  const std::size_t fsz = mesh::face_array_size(config_.n, layout_.nel());
-  for (int f = 0; f < nfields(); ++f) {
-    double* nbr = nbrfaces_.data() + f * fsz;
-    const double* mine = myfaces_.data() + f * fsz;
-    for (std::size_t s = 0; s < fsz; ++s) {
-      nbr[s] = face_interior_[s] ? nbr[s] - mine[s] : mine[s];
-    }
-  }
-}
-
-void Driver::exchange_faces() {
-  prof::ScopedRegion ex_region("nearest_neighbor_exchange");
-  const int nf = nfields();
-  if (config_.face_backend == FaceBackend::kDirect) {
-    exchange_->exchange(myfaces_.data(), nbrfaces_.data(), nf);
-    return;
-  }
-  std::copy(myfaces_.begin(), myfaces_.end(), nbrfaces_.begin());
-  face_gs_->exec_many(std::span<double>(nbrfaces_), nf, gs::ReduceOp::kSum);
-  gs_faces_subtract();
 }
 
 void Driver::apply_dssum() {

@@ -102,7 +102,8 @@ class Driver {
   /// Interior/boundary element split used by the overlap path.
   const mesh::ElementClasses& element_classes() const { return classes_; }
 
-  /// Accumulated split-phase exchange timing (empty unless config.overlap).
+  /// Accumulated split-phase exchange timing: empty unless config.overlap,
+  /// and counting only windows with a remote message in flight.
   const prof::OverlapStats& overlap_stats() const { return overlap_stats_; }
   void reset_overlap_stats() { overlap_stats_.reset(); }
 
@@ -172,27 +173,24 @@ class Driver {
   void export_vtk(const std::string& path) const;
 
  private:
+  // One RHS schedule: pack faces, exchange begin (finished at once unless
+  // config.overlap), volume term over every element, dealias, particle
+  // source, surface term over the elements whose faces are ready, exchange
+  // finish, surface term over the rest. Blocking and overlap differ only in
+  // where finish() runs, never in a floating-point operation.
   void compute_rhs(const std::vector<std::vector<double>>& u,
                    std::vector<std::vector<double>>& rhs);
-  void compute_rhs_blocking(const std::vector<std::vector<double>>& u,
-                            std::vector<std::vector<double>>& rhs);
-  void compute_rhs_overlap(const std::vector<std::vector<double>>& u,
-                           std::vector<std::vector<double>>& rhs);
-  // RHS building blocks, each over an explicit element list so the overlap
-  // path can run them per interior/boundary class. The per-point
-  // floating-point operation sequence does not depend on how the element
-  // list is split (each point belongs to exactly one element), which is
-  // what keeps the overlap path bit-identical.
-  // The _range forms process elems[lo, hi) and are what the worker-pool
-  // threads execute; splitting a list into ranges changes batching only,
-  // never a per-element bit (see src/parallel/parallel.hpp).
+  // The _range forms process elements [lo, hi) and are what the worker-pool
+  // threads execute; splitting into ranges changes batching only, never a
+  // per-element bit (see src/parallel/parallel.hpp).
   void volume_term(const std::vector<std::vector<double>>& u,
-                   std::vector<std::vector<double>>& rhs,
-                   std::span<const int> elems);
+                   std::vector<std::vector<double>>& rhs);
   void volume_term_range(const std::vector<std::vector<double>>& u,
                          std::vector<std::vector<double>>& rhs,
-                         std::span<const int> elems, std::size_t lo,
-                         std::size_t hi);
+                         std::size_t lo, std::size_t hi);
+  // The surface term runs over an explicit element list so the overlap
+  // schedule can split it into interior and boundary classes; each point
+  // belongs to one element, so the split changes no bit.
   void surface_term(std::vector<std::vector<double>>& rhs,
                     std::span<const int> elems);
   void surface_term_range(std::vector<std::vector<double>>& rhs,
@@ -201,8 +199,9 @@ class Driver {
   void dealias_term(const std::vector<std::vector<double>>& u);
   void particle_source(std::vector<std::vector<double>>& rhs);
   void pack_faces(const std::vector<std::vector<double>>& u);
-  void exchange_faces();  // myfaces_ -> nbrfaces_ via the selected backend
-  void gs_faces_subtract();  // gs backend: mine+neighbor -> neighbor
+  // Complete the face exchange begun in compute_rhs into nbrfaces_; the gs
+  // backend turns its mine+neighbor sum into the neighbor's value here.
+  void finish_exchange();
   void step_rk4(double dt);
   void apply_dssum();
   void step_particles(double dt);
@@ -235,7 +234,7 @@ class Driver {
   sem::Operators ops_;
   int threads_ = 1;  // resolved threads_per_rank (config knob or env)
   mesh::ElementClasses classes_;
-  std::vector<int> all_elems_;  // 0..nel-1, the blocking path's element list
+  std::vector<int> all_elems_;  // 0..nel-1, a surface pass over every element
   prof::OverlapStats overlap_stats_;
   std::unique_ptr<mesh::FaceExchange> exchange_;
   std::unique_ptr<gs::GatherScatter> gs_;

@@ -270,127 +270,6 @@ void GatherScatter::ordered_fold_shared(
   }
 }
 
-template <class T>
-void GatherScatter::exec_ordered(std::span<T> values, int nfields,
-                                 ReduceOp op) {
-  comm::SiteScope site("gs_op");
-  const std::size_t slots = values.size() / nfields;
-  const std::size_t nf = std::size_t(nfields);
-
-  std::vector<T> unique, mine;
-  ordered_gather(std::span<const T>(values.data(), values.size()), nfields, op,
-                 unique, mine);
-
-  // Ship raw copies to every sharer (pairwise pattern, slightly larger
-  // payload than the pre-reduced pairwise method for edge/corner ids).
-  comm::SiteScope psite("gs_op.pairwise");
-  std::vector<std::vector<T>> sendbuf, recvbuf;
-  std::vector<comm::Request> reqs;
-  sendbuf.reserve(pairwise_plan_.size());
-  recvbuf.reserve(pairwise_plan_.size());
-  reqs.reserve(pairwise_plan_.size());
-  std::size_t b = 0;
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    (void)entries;
-    recvbuf.emplace_back(nbr_copy_total_[b++] * nf);
-    reqs.push_back(
-        comm_->irecv(std::span<T>(recvbuf.back()), neighbor, kPairwiseTag));
-  }
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    auto& buf = sendbuf.emplace_back();
-    for (int s : entries) {
-      const T* src = mine.data() + std::size_t(my_copy_offset_[s]) * nf;
-      buf.insert(buf.end(), src,
-                 src + std::size_t(my_copy_offset_[s + 1] -
-                                   my_copy_offset_[s]) * nf);
-    }
-    comm_->isend(std::span<const T>(buf), neighbor, kPairwiseTag);
-  }
-  comm_->waitall(reqs);
-
-  ordered_fold_shared(nfields, op, unique, mine, recvbuf);
-
-  for (std::size_t s = 0; s < slots; ++s) {
-    const T* u = unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) values[f * slots + s] = u[f];
-  }
-}
-
-void GatherScatter::exec_ordered_begin(std::span<double> values, int nfields,
-                                       ReduceOp op) {
-  comm::SiteScope site("gs_op");
-  split_.active = true;
-  split_.done_in_begin = false;
-  split_.values = values;
-  split_.nfields = nfields;
-  split_.op = op;
-
-  ordered_gather(std::span<const double>(values.data(), values.size()),
-                 nfields, op, split_.unique, split_.mine);
-
-  const std::size_t nf = std::size_t(nfields);
-  comm::SiteScope psite("gs_op.pairwise");
-  try {
-    split_.sendbuf.resize(pairwise_plan_.size());
-    split_.recvbuf.resize(pairwise_plan_.size());
-    split_.reqs.clear();
-    split_.reqs.reserve(pairwise_plan_.size());
-    std::size_t b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      (void)entries;
-      std::vector<double>& rb = split_.recvbuf[b];
-      rb.resize(nbr_copy_total_[b] * nf);
-      ++b;
-      split_.reqs.push_back(
-          comm_->irecv(std::span<double>(rb), neighbor, kPairwiseTag));
-    }
-    b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      std::vector<double>& sb = split_.sendbuf[b++];
-      sb.clear();
-      for (int s : entries) {
-        const double* src =
-            split_.mine.data() + std::size_t(my_copy_offset_[s]) * nf;
-        sb.insert(sb.end(), src,
-                  src + std::size_t(my_copy_offset_[s + 1] -
-                                    my_copy_offset_[s]) * nf);
-      }
-      comm_->isend(std::span<const double>(sb), neighbor, kPairwiseTag);
-    }
-  } catch (...) {
-    abandon_split();
-    throw;
-  }
-}
-
-void GatherScatter::exec_ordered_finish() {
-  split_.active = false;
-  comm::SiteScope site("gs_op");
-  const std::size_t nf = std::size_t(split_.nfields);
-  const std::size_t slots = split_.values.size() / split_.nfields;
-
-  {
-    comm::SiteScope psite("gs_op.pairwise");
-    try {
-      comm_->waitall(split_.reqs);
-    } catch (...) {
-      abandon_split();
-      throw;
-    }
-    split_.reqs.clear();
-  }
-
-  ordered_fold_shared(split_.nfields, split_.op, split_.unique, split_.mine,
-                      split_.recvbuf);
-
-  for (std::size_t s = 0; s < slots; ++s) {
-    const double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      split_.values[f * slots + s] = u[f];
-    }
-  }
-}
-
 void GatherScatter::exec(std::span<double> values, ReduceOp op) {
   exec_impl<double>(values, 1, op, method_);
 }
@@ -410,228 +289,167 @@ void GatherScatter::exec_many_with(std::span<double> values, int nfields,
   exec_impl<double>(values, nfields, op, method);
 }
 
-GatherScatter::~GatherScatter() { abandon_split(); }
-
-void GatherScatter::abandon_split() {
-  for (comm::Request& r : split_.reqs) comm_->cancel(r);
-  split_.reqs.clear();
-  split_.active = false;
-  split_.done_in_begin = false;
-}
+GatherScatter::~GatherScatter() { withdraw(split_); }
 
 void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
                                     ReduceOp op) {
-  if (ordered_) {
-    exec_ordered_begin(values, nfields, op);
-    return;
-  }
-  comm::SiteScope site("gs_op");
-  split_.active = true;
-  split_.values = values;
-  split_.nfields = nfields;
-  split_.op = op;
-
-  const std::size_t slots = values.size() / nfields;
-  const std::size_t nf = std::size_t(nfields);
-
-  // Phase 1: local gather — identical code path to exec_impl, into the
-  // persistent buffer.
-  split_.unique.assign(topo_.unique_ids.size() * nf, identity<double>(op));
-  for (std::size_t s = 0; s < slots; ++s) {
-    double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      u[f] = comm::apply(op, u[f], values[f * slots + s]);
-    }
-  }
-
-  if (method_ == Method::kCrystalRouter || method_ == Method::kAllReduce) {
-    // These methods are built on unsplittable collectives: run the whole
-    // gs_op to completion now. The result is the same either way; only the
-    // overlap opportunity is lost.
-    if (method_ == Method::kCrystalRouter) {
-      exec_crystal(split_.unique, nfields, op);
-    } else {
-      exec_allreduce(split_.unique, nfields, op);
-    }
-    for (std::size_t s = 0; s < slots; ++s) {
-      const double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-      for (std::size_t f = 0; f < nf; ++f) values[f * slots + s] = u[f];
-    }
-    split_.done_in_begin = true;
-    return;
-  }
-  split_.done_in_begin = false;
-
-  // Phase 2a (pairwise): post all receives, pack and send. Mirrors
-  // exec_pairwise exactly, with the buffers persisting across steps.
-  comm::SiteScope psite("gs_op.pairwise");
-  try {
-    split_.sendbuf.resize(pairwise_plan_.size());
-    split_.recvbuf.resize(pairwise_plan_.size());
-    split_.reqs.clear();
-    split_.reqs.reserve(pairwise_plan_.size());
-    std::size_t b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      std::vector<double>& rb = split_.recvbuf[b++];
-      rb.resize(entries.size() * nf);
-      split_.reqs.push_back(
-          comm_->irecv(std::span<double>(rb), neighbor, kPairwiseTag));
-    }
-    b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      std::vector<double>& sb = split_.sendbuf[b++];
-      sb.clear();
-      sb.reserve(entries.size() * nf);
-      for (int s : entries) {
-        const double* u =
-            split_.unique.data() + topo_.shared[s].unique_index * nf;
-        sb.insert(sb.end(), u, u + nf);
-      }
-      comm_->isend(std::span<const double>(sb), neighbor, kPairwiseTag);
-    }
-  } catch (...) {
-    // A chaos abort or peer failure can fire from the hooks inside
-    // irecv/isend with some receives already posted: withdraw them so
-    // nothing delivers into this handle's buffers after the unwind.
-    abandon_split();
-    throw;
-  }
+  // post() withdraws its own receives if it throws, leaving nothing in
+  // flight.
+  post(split_, values, nfields, op, method_);
+  split_active_ = true;
 }
 
 void GatherScatter::exec_many_finish() {
-  if (!split_.active) return;
-  if (ordered_) {
-    exec_ordered_finish();
-    return;
-  }
-  split_.active = false;
-  if (split_.done_in_begin) return;
-
-  comm::SiteScope site("gs_op");
-  const std::size_t nf = std::size_t(split_.nfields);
-  const std::size_t slots = split_.values.size() / split_.nfields;
-
-  {
-    // Phase 2b (pairwise): wait and accumulate in the same neighbor order
-    // as exec_pairwise, so the floating-point reduction order — and hence
-    // the result bits — match the blocking path.
-    comm::SiteScope psite("gs_op.pairwise");
-    try {
-      comm_->waitall(split_.reqs);
-    } catch (...) {
-      // waitall withdrew whatever was still posted; clear the split state
-      // so the handle is reusable (and the destructor has nothing stale).
-      abandon_split();
-      throw;
-    }
-    std::size_t b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      const std::vector<double>& buf = split_.recvbuf[b++];
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        double* u =
-            split_.unique.data() + topo_.shared[entries[i]].unique_index * nf;
-        for (std::size_t f = 0; f < nf; ++f) {
-          u[f] = comm::apply(split_.op, u[f], buf[i * nf + f]);
-        }
-      }
-    }
-    split_.reqs.clear();
-  }
-
-  // Phase 3: local scatter.
-  for (std::size_t s = 0; s < slots; ++s) {
-    const double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      split_.values[f * slots + s] = u[f];
-    }
-  }
+  if (!split_active_) return;
+  split_active_ = false;
+  complete(split_);
 }
 
 template <class T>
 void GatherScatter::exec_impl(std::span<T> values, int nfields, ReduceOp op,
                               Method method) {
-  if (ordered_) {
-    // The ordered fold program replaces all three exchange methods; a
-    // per-call method request cannot be honored without changing the bits.
-    exec_ordered(values, nfields, op);
-    return;
-  }
+  Round<T> round;
+  post(round, values, nfields, op, method);
+  complete(round);
+}
+
+// --- the exchange round ------------------------------------------------------
+
+template <class T>
+void GatherScatter::post(Round<T>& round, std::span<T> values, int nfields,
+                         ReduceOp op, Method method) {
   comm::SiteScope site("gs_op");
+  round.values = values;
+  round.nfields = nfields;
+  round.op = op;
   const std::size_t slots = values.size() / nfields;
   const std::size_t nf = std::size_t(nfields);
 
-  // Phase 1: local gather — fold duplicate local copies per unique id.
-  // Unique values interleave fields per id (id major, field minor) so one
-  // exchange message carries all fields of an id contiguously.
-  std::vector<T> unique(topo_.unique_ids.size() * nf, identity<T>(op));
-  for (std::size_t s = 0; s < slots; ++s) {
-    T* u = unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      u[f] = comm::apply(op, u[f], values[f * slots + s]);
+  // Phase 1: local gather. Unique values interleave fields per id (id major,
+  // field minor) so one exchange message carries all fields of an id
+  // contiguously.
+  if (ordered_) {
+    ordered_gather(std::span<const T>(values.data(), values.size()), nfields,
+                   op, round.unique, round.mine);
+  } else {
+    round.unique.assign(topo_.unique_ids.size() * nf, identity<T>(op));
+    for (std::size_t s = 0; s < slots; ++s) {
+      T* u = round.unique.data() + topo_.unique_of_slot[s] * nf;
+      for (std::size_t f = 0; f < nf; ++f) {
+        u[f] = comm::apply(op, u[f], values[f * slots + s]);
+      }
     }
   }
 
-  // Phase 2: nonlocal exchange.
-  switch (method) {
-    case Method::kPairwise: exec_pairwise(unique, nfields, op); break;
-    case Method::kCrystalRouter: exec_crystal(unique, nfields, op); break;
-    case Method::kAllReduce: exec_allreduce(unique, nfields, op); break;
-    // kAuto/kModel are resolved to a concrete method at construction; a
-    // per-call request for them degrades to the pairwise exchange.
-    case Method::kAuto: exec_pairwise(unique, nfields, op); break;
-    case Method::kModel: exec_pairwise(unique, nfields, op); break;
+  // Phase 2: nonlocal exchange. The ordered fold program replaces all three
+  // methods (a per-call method request cannot be honored without changing
+  // the bits); kAuto/kModel are resolved at construction, so a per-call
+  // request for them degrades to the pairwise exchange. Crystal router and
+  // allreduce are unsplittable collectives and run to completion here.
+  round.pairwise = ordered_ || (method != Method::kCrystalRouter &&
+                                method != Method::kAllReduce);
+  if (!round.pairwise) {
+    if (method == Method::kCrystalRouter) {
+      exec_crystal(round.unique, nfields, op);
+    } else {
+      exec_allreduce(round.unique, nfields, op);
+    }
+    return;
+  }
+
+  // Pairwise: each sharer sends its locally gathered value per shared id;
+  // ordered: its raw per-copy values (slightly larger messages for
+  // edge/corner ids). Both sides walk the shared entries in id order.
+  auto outgoing = [&](int s) -> std::span<const T> {
+    if (!ordered_) {
+      return {round.unique.data() + topo_.shared[s].unique_index * nf, nf};
+    }
+    return {round.mine.data() + std::size_t(my_copy_offset_[s]) * nf,
+            std::size_t(my_copy_offset_[s + 1] - my_copy_offset_[s]) * nf};
+  };
+  comm::SiteScope psite("gs_op.pairwise");
+  try {
+    round.recvbuf.resize(pairwise_plan_.size());
+    round.reqs.clear();
+    round.reqs.reserve(pairwise_plan_.size());
+    std::size_t b = 0;
+    for (const auto& [neighbor, entries] : pairwise_plan_) {
+      std::vector<T>& rb = round.recvbuf[b];
+      rb.resize((ordered_ ? nbr_copy_total_[b] : entries.size()) * nf);
+      ++b;
+      round.reqs.push_back(
+          comm_->irecv(std::span<T>(rb), neighbor, kPairwiseTag));
+    }
+    // Pack straight into the byte payload that becomes the in-flight
+    // message (isend_payload moves it into the runtime).
+    for (const auto& [neighbor, entries] : pairwise_plan_) {
+      std::size_t bytes = 0;
+      for (int s : entries) bytes += outgoing(s).size_bytes();
+      std::vector<std::byte> payload(bytes);
+      std::byte* out = payload.data();
+      for (int s : entries) {
+        const std::span<const T> v = outgoing(s);
+        util::copy_bytes(out, v.data(), v.size_bytes());
+        out += v.size_bytes();
+      }
+      comm_->isend_payload(std::move(payload), neighbor, kPairwiseTag);
+    }
+  } catch (...) {
+    // A chaos abort or peer failure can fire from the hooks inside
+    // irecv/isend_payload with some receives already posted: withdraw them
+    // so nothing delivers into this round's buffers after the unwind.
+    withdraw(round);
+    throw;
+  }
+}
+
+template <class T>
+void GatherScatter::complete(Round<T>& round) {
+  comm::SiteScope site("gs_op");
+  const std::size_t nf = std::size_t(round.nfields);
+  const std::size_t slots = round.values.size() / nf;
+
+  if (round.pairwise) {
+    comm::SiteScope psite("gs_op.pairwise");
+    try {
+      comm_->waitall(round.reqs);
+    } catch (...) {
+      // waitall withdrew whatever was still posted; clear the round so the
+      // handle is reusable (and the destructor has nothing stale).
+      withdraw(round);
+      throw;
+    }
+    round.reqs.clear();
+    if (ordered_) {
+      ordered_fold_shared(round.nfields, round.op, round.unique, round.mine,
+                          round.recvbuf);
+    } else {
+      // Remote contributions in ascending neighbor-rank order.
+      std::size_t b = 0;
+      for (const auto& [neighbor, entries] : pairwise_plan_) {
+        const std::vector<T>& buf = round.recvbuf[b++];
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          T* u = round.unique.data() +
+                 topo_.shared[entries[i]].unique_index * nf;
+          for (std::size_t f = 0; f < nf; ++f) {
+            u[f] = comm::apply(round.op, u[f], buf[i * nf + f]);
+          }
+        }
+      }
+    }
   }
 
   // Phase 3: local scatter.
   for (std::size_t s = 0; s < slots; ++s) {
-    const T* u = unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      values[f * slots + s] = u[f];
-    }
+    const T* u = round.unique.data() + topo_.unique_of_slot[s] * nf;
+    for (std::size_t f = 0; f < nf; ++f) round.values[f * slots + s] = u[f];
   }
 }
 
-// --- pairwise exchange -------------------------------------------------------
-
 template <class T>
-void GatherScatter::exec_pairwise(std::vector<T>& unique_values, int nfields,
-                                  ReduceOp op) {
-  comm::SiteScope site("gs_op.pairwise");
-  constexpr int kTag = kPairwiseTag;
-  const std::size_t nf = std::size_t(nfields);
-
-  // Snapshot outgoing values before any accumulation: each pair must see
-  // the peer's locally-gathered value, not a partially reduced one.
-  std::vector<std::vector<T>> sendbuf, recvbuf;
-  std::vector<comm::Request> reqs;
-  sendbuf.reserve(pairwise_plan_.size());
-  recvbuf.reserve(pairwise_plan_.size());
-  reqs.reserve(pairwise_plan_.size());
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    recvbuf.emplace_back(entries.size() * nf);
-    reqs.push_back(comm_->irecv(std::span<T>(recvbuf.back()), neighbor, kTag));
-  }
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    auto& buf = sendbuf.emplace_back();
-    buf.reserve(entries.size() * nf);
-    for (int s : entries) {
-      const T* u = unique_values.data() + topo_.shared[s].unique_index * nf;
-      buf.insert(buf.end(), u, u + nf);
-    }
-    comm_->isend(std::span<const T>(buf), neighbor, kTag);
-  }
-  comm_->waitall(reqs);
-
-  std::size_t b = 0;
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    const std::vector<T>& buf = recvbuf[b++];
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      T* u = unique_values.data() + topo_.shared[entries[i]].unique_index * nf;
-      for (std::size_t f = 0; f < nf; ++f) {
-        u[f] = comm::apply(op, u[f], buf[i * nf + f]);
-      }
-    }
-  }
+void GatherScatter::withdraw(Round<T>& round) {
+  for (comm::Request& r : round.reqs) comm_->cancel(r);
+  round.reqs.clear();
 }
 
 // --- crystal router ----------------------------------------------------------

@@ -89,19 +89,23 @@ class GatherScatter {
                       Method method);
 
   /// Split-phase exec_many for compute–communication overlap. begin() runs
-  /// the local gather and, under the pairwise method, posts all receives and
-  /// sends the shared values, returning with the messages in flight;
-  /// finish() waits, accumulates the remote contributions (in the same
-  /// neighbor order as exec_many — results are bit-identical) and scatters
-  /// back into the span passed to begin(). The crystal-router and allreduce
-  /// methods use unsplittable collectives, so for them the whole gs_op
-  /// completes inside begin() and finish() only clears the in-flight flag.
-  /// The span must stay alive until finish(); one gs_op in flight at a time.
+  /// the local gather and, under the pairwise method (and in ordered mode),
+  /// posts all receives and sends the shared values, returning with the
+  /// messages in flight; finish() waits, folds the remote contributions and
+  /// scatters back into the span passed to begin(). A blocking exec is the
+  /// same two halves back to back, so the results are bit-identical. The
+  /// crystal-router and allreduce methods use unsplittable collectives: for
+  /// them the whole exchange completes inside begin() and finish() only
+  /// scatters. The span must stay alive until finish(); one gs_op in flight
+  /// at a time.
   void exec_many_begin(std::span<double> values, int nfields, ReduceOp op);
   void exec_many_finish();
 
   /// True between exec_many_begin() and the matching exec_many_finish().
-  bool split_in_flight() const { return split_.active; }
+  bool split_in_flight() const { return split_active_; }
+  /// True when the split-phase gs_op in flight still has receives posted
+  /// (a pairwise or ordered exchange with at least one sharer rank).
+  bool receives_posted() const { return !split_.reqs.empty(); }
 
   /// Typed gs_op, as gslib supports for its datatype set: T is one of
   /// double, float, int, long long. Same semantics as exec/exec_many.
@@ -144,14 +148,40 @@ class GatherScatter {
   long long big_vector_size() const { return topo_.total_global; }
 
  private:
-  // The whole gs_op pipeline (local gather, exchange, local scatter) is
-  // templated over the value type; backends operate on locally-gathered
-  // unique values with `nfields` interleaved per unique id. Instantiated in
-  // the .cpp for double, float, int, long long.
+  // One gs_op exchange round, templated over the value type: the locally
+  // gathered values (nfields interleaved per unique id) plus, for the
+  // pairwise and ordered exchanges, the receives in flight between post()
+  // and complete().
+  template <class T>
+  struct Round {
+    std::span<T> values;
+    int nfields = 0;
+    ReduceOp op = ReduceOp::kSum;
+    bool pairwise = false;  // post() left a pairwise/ordered exchange to fold
+    std::vector<T> unique;
+    std::vector<T> mine;  // ordered mode: my shared copies, flat
+    std::vector<std::vector<T>> recvbuf;  // one per pairwise neighbor
+    std::vector<comm::Request> reqs;
+  };
+
+  // Blocking gs_op: post() + complete() on a round local to the call.
+  // Instantiated in the .cpp for double, float, int, long long.
   template <class T>
   void exec_impl(std::span<T> values, int nfields, ReduceOp op, Method method);
+  // Local gather (plain, or ordered_gather in ordered mode); then either
+  // post the pairwise/ordered receives and sends, or run the whole
+  // crystal/allreduce exchange.
   template <class T>
-  void exec_pairwise(std::vector<T>& unique_values, int nfields, ReduceOp op);
+  void post(Round<T>& round, std::span<T> values, int nfields, ReduceOp op,
+            Method method);
+  // Wait for the posted receives, fold them (neighbor order, or the ordered
+  // merge program), then scatter back into round.values.
+  template <class T>
+  void complete(Round<T>& round);
+  // Cancel the round's posted receives so no late delivery writes into its
+  // buffers after an unwind.
+  template <class T>
+  void withdraw(Round<T>& round);
   template <class T>
   void exec_crystal(std::vector<T>& unique_values, int nfields, ReduceOp op);
   template <class T>
@@ -163,15 +193,7 @@ class GatherScatter {
   // Ordered mode: build the per-id fold programs from per-slot keys
   // (called at construction when slot_keys is non-empty).
   void setup_ordered(std::span<const long long> slot_keys);
-  // Ordered gs_op: private ids fold their local copies in key order;
-  // shared ids ship raw per-copy values to every sharer and every sharer
-  // folds the full copy list via the precomputed merge program.
-  template <class T>
-  void exec_ordered(std::span<T> values, int nfields, ReduceOp op);
-  // Split-phase ordered gs_op (double-only, like exec_many_begin/finish).
-  void exec_ordered_begin(std::span<double> values, int nfields, ReduceOp op);
-  void exec_ordered_finish();
-  // Shared phases: gather private folds + stage my shared copies (`mine`),
+  // Ordered phases: gather private folds + stage my shared copies (`mine`),
   // and fold shared entries from mine + per-neighbor recv buffers.
   template <class T>
   void ordered_gather(std::span<const T> values, int nfields, ReduceOp op,
@@ -186,11 +208,6 @@ class GatherScatter {
   // Reduces each prediction across ranks so every rank picks the same
   // method deterministically.
   Method select_from_model(const netmodel::LogGPParams& machine);
-
-  // Withdraw any posted split-phase receives and clear the in-flight state;
-  // the unwind path shared by the destructor and begin()/finish() failure
-  // handling.
-  void abandon_split();
 
   comm::Comm* comm_;
   Topology topo_;
@@ -231,21 +248,11 @@ class GatherScatter {
   std::vector<int> owned_shared_entry_;       // topo_.shared index per owned id
   CrystalRouter router_;
 
-  // Split-phase state between exec_many_begin() and exec_many_finish().
-  // The gather/pack/unpack buffers persist across steps so a steady-state
-  // time step allocates nothing on this path.
-  struct SplitState {
-    bool active = false;
-    bool done_in_begin = false;  // non-pairwise methods finish inside begin()
-    std::span<double> values;
-    int nfields = 0;
-    ReduceOp op = ReduceOp::kSum;
-    std::vector<double> unique;
-    std::vector<double> mine;  // ordered mode: my shared copies, flat
-    std::vector<std::vector<double>> sendbuf, recvbuf;  // one per neighbor
-    std::vector<comm::Request> reqs;
-  };
-  SplitState split_;
+  // The round between exec_many_begin() and exec_many_finish(). Its
+  // gather/recv buffers persist across steps so a steady-state time step
+  // allocates only the in-flight send payloads on this path.
+  bool split_active_ = false;
+  Round<double> split_;
 };
 
 }  // namespace cmtbone::gs

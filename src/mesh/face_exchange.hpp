@@ -60,6 +60,9 @@ class FaceExchange {
 
   /// True between begin() and the matching finish().
   bool in_flight() const { return pending_nbrfaces_ != nullptr; }
+  /// True when the exchange in flight still has remote receives posted
+  /// (false on a rank whose faces are all locally paired).
+  bool receives_posted() const { return !recv_reqs_.empty(); }
 
   /// Payload bytes this rank sends per exchange call.
   long long send_bytes_per_exchange(int nfields) const;

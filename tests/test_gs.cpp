@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/driver.hpp"
 #include "gs/crystal.hpp"
 #include "gs/gather_scatter.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
 #include "mesh/partition.hpp"
 #include "util/rng.hpp"
@@ -133,6 +135,138 @@ INSTANTIATE_TEST_SUITE_P(
       return m + "_P" + std::to_string(c.px) + std::to_string(c.py) +
              std::to_string(c.pz) + "_op" +
              std::to_string(static_cast<int>(c.op));
+    });
+
+// --- exact fold order --------------------------------------------------------
+//
+// The fold order each mode promises, checked bit for bit: a reordered fold
+// moves low bits that GsOracle's 1e-10 tolerance cannot see.
+//   ordered:  every copy of an id, folded from the identity in ascending-key
+//             order (the same value on every rank);
+//   pairwise: this rank's copies folded from the identity in slot order, then
+//             each sharer rank's locally gathered value in ascending rank
+//             order.
+
+struct ExactCase {
+  int px, py, pz;
+  bool ordered;
+  ReduceOp op;
+};
+
+double fold_from_identity(ReduceOp op, const std::vector<double>& copies) {
+  double acc = op == ReduceOp::kProd ? 1.0 : 0.0;
+  for (double v : copies) acc = cmtbone::comm::apply(op, acc, v);
+  return acc;
+}
+
+// Expected result per rank and slot for per-slot inputs `vals`.
+std::vector<std::vector<double>> exact_fold(
+    const std::vector<std::vector<long long>>& ids,
+    const std::vector<std::vector<long long>>& keys,
+    const std::vector<std::vector<double>>& vals, bool ordered, ReduceOp op) {
+  const int nranks = int(ids.size());
+  // Per rank: id -> that rank's copies in slot order.
+  std::vector<std::map<long long, std::vector<double>>> local(nranks);
+  std::map<long long, std::vector<std::pair<long long, double>>> keyed;
+  for (int r = 0; r < nranks; ++r) {
+    for (std::size_t s = 0; s < ids[r].size(); ++s) {
+      local[r][ids[r][s]].push_back(vals[r][s]);
+      keyed[ids[r][s]].push_back({keys[r][s], vals[r][s]});
+    }
+  }
+  std::vector<std::vector<double>> out(nranks);
+  for (int r = 0; r < nranks; ++r) {
+    for (long long id : ids[r]) {
+      if (ordered) {
+        auto sorted = keyed.at(id);
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<double> copies;
+        for (const auto& kv : sorted) copies.push_back(kv.second);
+        out[r].push_back(fold_from_identity(op, copies));
+        continue;
+      }
+      double acc = fold_from_identity(op, local[r].at(id));
+      for (int q = 0; q < nranks; ++q) {
+        if (q == r || !local[q].count(id)) continue;
+        acc = cmtbone::comm::apply(op, acc,
+                                   fold_from_identity(op, local[q].at(id)));
+      }
+      out[r].push_back(acc);
+    }
+  }
+  return out;
+}
+
+class GsExactOrder : public ::testing::TestWithParam<ExactCase> {};
+
+TEST_P(GsExactOrder, ExecAndSplitPhaseFoldInThePromisedOrder) {
+  const ExactCase& c = GetParam();
+  const auto spec = small_spec(c.px, c.py, c.pz);
+  const int nranks = spec.nranks();
+  const auto ids = mesh_ids(spec);
+  std::vector<std::vector<long long>> keys(nranks);
+  for (int r = 0; r < nranks; ++r) {
+    keys[r] = cmtbone::mesh::global_gll_keys(
+        cmtbone::mesh::ElementLayout::block(spec, r));
+  }
+  // Two fields with independent inputs; field f uses seed 900 + f.
+  const int nf = 2;
+  std::vector<std::vector<std::vector<double>>> want(nf);
+  for (int f = 0; f < nf; ++f) {
+    std::vector<std::vector<double>> vals(nranks);
+    for (int r = 0; r < nranks; ++r) {
+      for (std::size_t s = 0; s < ids[r].size(); ++s) {
+        vals[r].push_back(slot_value(900 + f, r, s));
+      }
+    }
+    want[f] = exact_fold(ids, keys, vals, c.ordered, c.op);
+  }
+
+  cmtbone::comm::run(nranks, [&](Comm& world) {
+    const int r = world.rank();
+    const std::size_t slots = ids[r].size();
+    GatherScatter gs(world, ids[r], Method::kPairwise,
+                     c.ordered ? std::span<const long long>(keys[r])
+                               : std::span<const long long>());
+    std::vector<double> one(slots), many(nf * slots);
+    for (int f = 0; f < nf; ++f) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        many[f * slots + s] = slot_value(900 + f, r, s);
+      }
+    }
+    std::copy(many.begin(), many.begin() + slots, one.begin());
+    gs.exec(std::span<double>(one), c.op);
+    gs.exec_many_begin(std::span<double>(many), nf, c.op);
+    gs.exec_many_finish();
+    for (std::size_t s = 0; s < slots; ++s) {
+      ASSERT_EQ(one[s], want[0][r][s]) << "exec rank=" << r << " slot=" << s;
+      for (int f = 0; f < nf; ++f) {
+        ASSERT_EQ(many[f * slots + s], want[f][r][s])
+            << "split rank=" << r << " field=" << f << " slot=" << s;
+      }
+    }
+  });
+}
+
+std::vector<ExactCase> exact_cases() {
+  std::vector<ExactCase> cases;
+  for (bool ordered : {false, true}) {
+    for (ReduceOp op : {ReduceOp::kSum, ReduceOp::kProd}) {
+      cases.push_back({2, 2, 1, ordered, op});
+      cases.push_back({3, 1, 1, ordered, op});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Partitions, GsExactOrder, ::testing::ValuesIn(exact_cases()),
+    [](const ::testing::TestParamInfo<ExactCase>& info) {
+      const ExactCase& c = info.param;
+      return std::string(c.ordered ? "ordered" : "pairwise") + "_P" +
+             std::to_string(c.px) + std::to_string(c.py) +
+             std::to_string(c.pz) +
+             (c.op == ReduceOp::kSum ? "_sum" : "_prod");
     });
 
 TEST(GsSetup, TopologyIdentifiesSharersExactly) {

@@ -337,6 +337,20 @@ TEST(OverlapDriver, OverlapStatsAccumulateOnlyOnOverlapPath) {
     blocking_driver.run(1);
     EXPECT_EQ(blocking_driver.overlap_stats().windows, 0);
   });
+  // One rank: every face is locally paired, so begin() posts no remote
+  // receive and there is nothing to hide — under either backend.
+  for (FaceBackend backend :
+       {FaceBackend::kDirect, FaceBackend::kGatherScatter}) {
+    cmtbone::comm::run(1, [&](Comm& world) {
+      Config cfg = overlap_config(backend, Physics::kEuler);
+      cfg.overlap = true;
+      Driver driver(world, cfg);
+      driver.initialize(driver.default_ic());
+      driver.run(2);
+      EXPECT_EQ(driver.overlap_stats().windows, 0);
+      EXPECT_EQ(driver.overlap_stats().hidden_fraction(), 0.0);
+    });
+  }
 }
 
 }  // namespace
