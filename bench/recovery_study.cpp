@@ -12,7 +12,9 @@
 // Usage: recovery_study [--steps 40] [--json BENCH_recovery.json]
 //        recovery_study --smoke   CI gate: median-of-reps check that the
 //                                 K=10 checkpoint cadence costs < 10% per
-//                                 step; also writes the JSON.
+//                                 step; writes JSON only when --json is
+//                                 given, so a smoke run never overwrites
+//                                 the committed full-study results.
 
 #include <algorithm>
 #include <cstdio>
@@ -177,7 +179,9 @@ int main(int argc, char** argv) {
   cli.describe("steps", "timed steps per run (default 40)")
       .describe("reps", "repetitions, median taken (default 3; smoke 5)")
       .describe("ranks", "ranks for the sweep and kill scenarios (default 2)")
-      .describe("json", "output file (default BENCH_recovery.json)")
+      .describe("json",
+                "output file (default BENCH_recovery.json; smoke writes "
+                "none unless given)")
       .describe("smoke", "CI gate: K=10 checkpoint overhead must be < 10%");
   if (cli.help_requested()) {
     std::printf("%s", cli.usage().c_str());
@@ -276,6 +280,7 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n", table.str().c_str());
   }
 
+  if (smoke && !cli.has("json")) return smoke_rc;
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

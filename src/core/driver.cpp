@@ -177,6 +177,7 @@ Driver::Driver(comm::Comm& comm, const Config& config)
           "Driver: particles require the uniform unit-box mesh");
     }
     tracker_ = std::make_unique<particles::Tracker>(comm, part_, ops_);
+    tracker_->set_threads(threads_);
     tracker_->seed_random(config_.particles_per_rank, config_.particle_seed);
   }
 }
@@ -1059,8 +1060,9 @@ void Driver::apply_layout(const std::vector<int>& owner) {
   if (tracker_) {
     tracker_->set_layout(layout_);
     // Re-home resident particles: ownership moved under them, so each rank
-    // routes the particles it no longer owns (collective; ends with the
-    // canonical id sort, keeping deposit order layout-invariant).
+    // routes the particles it no longer owns (collective; ends by re-binning
+    // with ids ascending per element, keeping deposit order
+    // layout-invariant).
     tracker_->migrate();
   }
 }

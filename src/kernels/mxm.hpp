@@ -12,7 +12,11 @@ namespace cmtbone::kernels {
 /// C(n1,n3) = A(n1,n2) * B(n2,n3), column-major, C overwritten.
 void mxm(const double* a, int n1, const double* b, int n2, double* c, int n3);
 
-/// C += A * B (accumulating form, used by the Nekbone operator).
+/// C += A * B (accumulating form; the particle deposit's contraction). Every
+/// C entry adds its n2 products one at a time in ascending l onto its old
+/// value, with separate multiply and add roundings — the scalar triple
+/// loop's order, bit for bit — on the widest SIMD backend, vectorized over
+/// rows of C. n2 is a run-time length (any n2 >= 0).
 void mxm_acc(const double* a, int n1, const double* b, int n2, double* c,
              int n3);
 

@@ -37,6 +37,10 @@ struct SimdBackend {
   /// range. Signature matches MxmFixedFn: (a, n1, b, c, n3) with n2 baked
   /// in.
   MxmFixedFn (*mxm_kernel)(int n2);
+  /// C(n1,n3) += A(n1,n2) * B(n2,n3) with run-time n2 (mxm_acc's contract:
+  /// every C entry adds its products in ascending l onto its old value).
+  void (*mxm_acc)(const double* a, int n1, const double* b, int n2,
+                  double* c, int n3);
   /// Measured register-resident multiply-add throughput in GFLOP/s — the
   /// compute roof for this backend on this machine (used by prof's
   /// roofline; fused multiply-add where the ISA has it). Runs a short

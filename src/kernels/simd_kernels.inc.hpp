@@ -75,54 +75,62 @@ inline Vec<W> probe_mac(Vec<W> a, Vec<W> b, Vec<W> c) {
 // Rows [i0, i0 + floor((n1-i0)/W)*W) of C, W rows per vector, with a 4-wide
 // column block so four C columns accumulate per sweep over A — the l loop
 // is the only loop carrying the accumulation and it runs ascending, per the
-// policy. Returns the first row not covered.
-template <int W, int N2>
+// policy. N2 > 0 bakes the contraction length in; N2 == 0 reads it from
+// n2 at run time. Acc starts every C entry from its current value (C += A*B)
+// instead of from zero. Returns the first row not covered.
+template <int W, int N2, bool Acc>
 int mxm_rows(const double* __restrict a, int n1, const double* __restrict b,
-             double* __restrict c, int n3, int i0) {
+             int n2, double* __restrict c, int n3, int i0) {
   using V = Vec<W>;
+  const int len = N2 > 0 ? N2 : n2;
+  auto start = [&](const double* cj) { return Acc ? V::load(cj) : V::zero(); };
   for (; i0 + W <= n1; i0 += W) {
     const double* ai = a + i0;
     int j = 0;
     for (; j + 4 <= n3; j += 4) {
-      const double* __restrict b0 = b + std::size_t(j) * N2;
-      V s0 = V::zero(), s1 = V::zero(), s2 = V::zero(), s3 = V::zero();
+      const double* __restrict b0 = b + std::size_t(j) * len;
+      double* cj = c + std::size_t(j) * n1 + i0;
+      V s0 = start(cj), s1 = start(cj + n1);
+      V s2 = start(cj + 2 * std::size_t(n1));
+      V s3 = start(cj + 3 * std::size_t(n1));
 #pragma GCC unroll 32
-      for (int l = 0; l < N2; ++l) {
+      for (int l = 0; l < len; ++l) {
         const V av = V::load(ai + std::size_t(l) * n1);
         s0 = mac(av, V::bcast(b0[l]), s0);
-        s1 = mac(av, V::bcast(b0[N2 + l]), s1);
-        s2 = mac(av, V::bcast(b0[2 * N2 + l]), s2);
-        s3 = mac(av, V::bcast(b0[3 * N2 + l]), s3);
+        s1 = mac(av, V::bcast(b0[len + l]), s1);
+        s2 = mac(av, V::bcast(b0[2 * len + l]), s2);
+        s3 = mac(av, V::bcast(b0[3 * len + l]), s3);
       }
-      double* cj = c + std::size_t(j) * n1 + i0;
       s0.store(cj);
       s1.store(cj + n1);
       s2.store(cj + 2 * std::size_t(n1));
       s3.store(cj + 3 * std::size_t(n1));
     }
     for (; j < n3; ++j) {
-      const double* __restrict bj = b + std::size_t(j) * N2;
-      V s = V::zero();
+      const double* __restrict bj = b + std::size_t(j) * len;
+      double* cj = c + std::size_t(j) * n1 + i0;
+      V s = start(cj);
 #pragma GCC unroll 32
-      for (int l = 0; l < N2; ++l) {
+      for (int l = 0; l < len; ++l) {
         s = mac(V::load(ai + std::size_t(l) * n1), V::bcast(bj[l]), s);
       }
-      s.store(c + std::size_t(j) * n1 + i0);
+      s.store(cj);
     }
   }
   return i0;
 }
 
 // Leftover rows, scalar — same l-ascending order, so still bit-identical.
-template <int N2>
+template <int N2, bool Acc>
 void mxm_tail(const double* __restrict a, int n1, const double* __restrict b,
-              double* __restrict c, int n3, int i0) {
+              int n2, double* __restrict c, int n3, int i0) {
+  const int len = N2 > 0 ? N2 : n2;
   for (int j = 0; j < n3; ++j) {
-    const double* __restrict bj = b + std::size_t(j) * N2;
+    const double* __restrict bj = b + std::size_t(j) * len;
     for (int i = i0; i < n1; ++i) {
-      double s = 0.0;
+      double s = Acc ? c[std::size_t(j) * n1 + i] : 0.0;
 #pragma GCC unroll 32
-      for (int l = 0; l < N2; ++l) {
+      for (int l = 0; l < len; ++l) {
         s += a[std::size_t(l) * n1 + i] * bj[l];
       }
       c[std::size_t(j) * n1 + i] = s;
@@ -130,20 +138,34 @@ void mxm_tail(const double* __restrict a, int n1, const double* __restrict b,
   }
 }
 
-/// C(n1,n3) = A(n1,N2) * B(N2,n3), column-major. Row cascade: full-width
-/// vectors first, then narrower, then a scalar tail, so odd n1 (the common
-/// case — n1 is N or N^2 for odd N) keeps most rows vectorized.
-template <int N2>
-void mxm_simd(const double* a, int n1, const double* b, double* c, int n3) {
+// Row cascade: full-width vectors first, then narrower, then a scalar tail,
+// so odd n1 (the common case — n1 is N or N^2 for odd N) keeps most rows
+// vectorized.
+template <int N2, bool Acc>
+void mxm_cascade(const double* a, int n1, const double* b, int n2, double* c,
+                 int n3) {
   int i = 0;
 #if CMTBONE_SIMD_MAXW >= 8
-  i = mxm_rows<8, N2>(a, n1, b, c, n3, i);
+  i = mxm_rows<8, N2, Acc>(a, n1, b, n2, c, n3, i);
 #endif
 #if CMTBONE_SIMD_MAXW >= 4
-  i = mxm_rows<4, N2>(a, n1, b, c, n3, i);
+  i = mxm_rows<4, N2, Acc>(a, n1, b, n2, c, n3, i);
 #endif
-  i = mxm_rows<2, N2>(a, n1, b, c, n3, i);
-  if (i < n1) mxm_tail<N2>(a, n1, b, c, n3, i);
+  i = mxm_rows<2, N2, Acc>(a, n1, b, n2, c, n3, i);
+  if (i < n1) mxm_tail<N2, Acc>(a, n1, b, n2, c, n3, i);
+}
+
+/// C(n1,n3) = A(n1,N2) * B(N2,n3), column-major.
+template <int N2>
+void mxm_simd(const double* a, int n1, const double* b, double* c, int n3) {
+  mxm_cascade<N2, false>(a, n1, b, N2, c, n3);
+}
+
+/// C(n1,n3) += A(n1,n2) * B(n2,n3) for any n2 >= 0: each C entry adds its
+/// n2 products in ascending l, exactly like the scalar mxm_acc.
+void mxm_acc_simd(const double* a, int n1, const double* b, int n2, double* c,
+                  int n3) {
+  mxm_cascade<0, true>(a, n1, b, n2, c, n3);
 }
 
 MxmFixedFn mxm_kernel(int n2) {
@@ -218,8 +240,8 @@ double measure_peak_gflops() {
 }
 
 const SimdBackend* backend_table() {
-  static const SimdBackend table = {
-      CMTBONE_SIMD_NAME, &mxm_kernel, &measure_peak_gflops};
+  static const SimdBackend table = {CMTBONE_SIMD_NAME, &mxm_kernel,
+                                    &mxm_acc_simd, &measure_peak_gflops};
   return &table;
 }
 

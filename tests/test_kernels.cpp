@@ -458,6 +458,47 @@ TEST(SimdParity, NonFmaBitIdenticalToScalarForEveryIsaAndN) {
   }
 }
 
+TEST(SimdParity, AccumulateBitIdenticalToScalarTripleLoop) {
+  // The particle deposit relies on mxm_acc adding each entry's products one
+  // at a time in ascending l onto C's old value, exactly like the plain loop
+  // below: for every row count the cascade splits differently, contraction
+  // lengths around the deposit's 64-particle chunk, every compiled ISA and
+  // the public entry point.
+  auto backends = compiled_simd_backends();
+  ASSERT_FALSE(backends.empty());
+  backends.push_back(nullptr);  // kernels::mxm_acc
+  for (const SimdBackend* bk : backends) {
+    for (int n1 = 2; n1 <= 25; ++n1) {
+      for (int n2 : {1, 2, 63, 64, 65}) {
+        const int n3 = n1 * n1;
+        auto a = random_vec(std::size_t(n1) * n2, 300 + n1);
+        auto b = random_vec(std::size_t(n2) * n3, 400 + n2);
+        std::vector<double> want = random_vec(std::size_t(n1) * n3, 500 + n2);
+        std::vector<double> got = want;
+        for (int j = 0; j < n3; ++j) {
+          for (int l = 0; l < n2; ++l) {
+            for (int i = 0; i < n1; ++i) {
+              want[i + std::size_t(n1) * j] +=
+                  a[i + std::size_t(n1) * l] * b[l + std::size_t(n2) * j];
+            }
+          }
+        }
+        if (bk) {
+          bk->mxm_acc(a.data(), n1, b.data(), n2, got.data(), n3);
+        } else {
+          cmtbone::kernels::mxm_acc(a.data(), n1, b.data(), n2, got.data(),
+                                    n3);
+        }
+        for (std::size_t p = 0; p < want.size(); ++p) {
+          ASSERT_EQ(want[p], got[p]) << (bk ? bk->name : "mxm_acc")
+                                     << " n1=" << n1 << " n2=" << n2
+                                     << " index=" << p;
+        }
+      }
+    }
+  }
+}
+
 // Every specialized N plus two beyond the kernel table, where the production
 // path falls back to the runtime mxm().
 std::vector<int> parity_ns() {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -176,10 +179,16 @@ TEST(Tracker, InterpolatedUniformVelocityMatchesUniformAdvance) {
     a.advance({0.4, -0.2, 0.1}, 0.03);
     b.advance_interpolated(vx.data(), vy.data(), vz.data(), 0.03);
     ASSERT_EQ(a.local_count(), b.local_count());
-    for (std::size_t i = 0; i < a.local_count(); ++i) {
-      EXPECT_NEAR(a.particles()[i].x, b.particles()[i].x, 1e-12);
-      EXPECT_NEAR(a.particles()[i].y, b.particles()[i].y, 1e-12);
-      EXPECT_NEAR(a.particles()[i].z, b.particles()[i].z, 1e-12);
+    // Pair by id: the resident order is bin order, which the two advances
+    // need not leave alike.
+    std::map<long long, Particle> by_id;
+    for (const Particle& p : a.particles()) by_id[p.id] = p;
+    for (const Particle& q : b.particles()) {
+      ASSERT_EQ(by_id.count(q.id), 1u) << q.id;
+      const Particle& p = by_id[q.id];
+      EXPECT_NEAR(p.x, q.x, 1e-12);
+      EXPECT_NEAR(p.y, q.y, 1e-12);
+      EXPECT_NEAR(p.z, q.z, 1e-12);
     }
   });
 }
@@ -244,6 +253,172 @@ TEST(Tracker, DepositInterpolateDualityForConstantField) {
                   1.0, 1e-11);
     }
   });
+}
+
+// --- binned deposit and interpolation -----------------------------------------
+// deposit_all and advance_interpolated run bin by bin, in chunks, through
+// small-matrix contractions on the worker pool. They must reproduce the
+// public per-particle deposit()/interpolate() called in ascending id bit
+// for bit, on the rhs and on the advanced positions.
+
+double wrap_unit(double v) {  // the tracker's periodic wrap
+  v -= std::floor(v);
+  return v >= 1.0 ? v - 1.0 : v;
+}
+
+std::vector<Particle> sorted_by_id(std::vector<Particle> ps) {
+  std::sort(ps.begin(), ps.end(),
+            [](const Particle& a, const Particle& b) { return a.id < b.id; });
+  return ps;
+}
+
+std::vector<double> random_field(std::size_t count, std::uint64_t seed) {
+  cmtbone::util::SplitMix64 rng(seed);
+  std::vector<double> v(count);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+void expect_binned_matches_reference(Tracker& tracker, std::size_t pts,
+                                     const std::string& label) {
+  const std::vector<Particle> before = sorted_by_id(tracker.particles());
+
+  std::vector<double> want = random_field(pts, 5), got = want;
+  for (const Particle& p : before) {
+    tracker.deposit(want.data(), p.x, p.y, p.z, 0.37);
+  }
+  tracker.deposit_all(got.data(), 0.37);
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), pts * sizeof(double)))
+      << label << ": deposit_all differs bitwise";
+
+  const std::vector<double> ux = random_field(pts, 6);
+  const std::vector<double> uy = random_field(pts, 7);
+  const std::vector<double> uz = random_field(pts, 8);
+  const double dt = 0.013;
+  std::vector<Particle> moved = before;
+  for (Particle& p : moved) {
+    const double vx = tracker.interpolate(ux.data(), p.x, p.y, p.z);
+    const double vy = tracker.interpolate(uy.data(), p.x, p.y, p.z);
+    const double vz = tracker.interpolate(uz.data(), p.x, p.y, p.z);
+    p.x = wrap_unit(p.x + vx * dt);
+    p.y = wrap_unit(p.y + vy * dt);
+    p.z = wrap_unit(p.z + vz * dt);
+  }
+  tracker.advance_interpolated(ux.data(), uy.data(), uz.data(), dt);
+  const std::vector<Particle> after = sorted_by_id(tracker.particles());
+  ASSERT_EQ(after.size(), moved.size()) << label;
+  EXPECT_EQ(0, std::memcmp(after.data(), moved.data(),
+                           moved.size() * sizeof(Particle)))
+      << label << ": advance_interpolated differs bitwise";
+}
+
+// On the 2x2x2 unit box (h = 1/2): bins of 64, 65 and 141 particles with
+// shuffled ids, three empty bins, x = 0 and x one ulp below 1, and a bin
+// whose lane pairs mix exact GLL-node hits (x = 1/2 is reference -1; the
+// midpoint 3/4 is reference 0, a node for odd n) with ordinary points.
+std::vector<Particle> oracle_cloud() {
+  cmtbone::util::SplitMix64 rng(77);
+  std::vector<Particle> cloud;
+  auto in_element = [&](int gx, int gy, int gz) {
+    Particle p;
+    p.x = 0.5 * (gx + rng.uniform());
+    p.y = 0.5 * (gy + rng.uniform());
+    p.z = 0.5 * (gz + rng.uniform());
+    return p;
+  };
+  for (int i = 0; i < 64; ++i) cloud.push_back(in_element(0, 0, 0));
+  for (int i = 0; i < 65; ++i) cloud.push_back(in_element(1, 0, 0));
+  for (int i = 0; i < 141; ++i) cloud.push_back(in_element(0, 1, 0));
+  std::vector<long long> ids(cloud.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = (long long)i;
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.next() % (i + 1)]);
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) cloud[i].id = ids[i];
+
+  // Ids ascending in push order from here on, so bin order = push order
+  // and consecutive pushes share a lane pair.
+  long long id = 1000;
+  auto push = [&](Particle p) {
+    p.id = id++;
+    cloud.push_back(p);
+  };
+  Particle p = in_element(0, 1, 1);
+  p.x = 0.0;
+  push(p);
+  p = in_element(1, 1, 1);
+  p.x = std::nextafter(1.0, 0.0);
+  push(p);
+  const Particle node{0, 0.5, 0.5, 0.5};
+  const Particle mid{0, 0.75, 0.75, 0.75};
+  push(node);  // pairs: (one ulp below 1, node),
+  push(node);  // (node, node),
+  push(node);
+  push(mid);  // (midpoint, ordinary),
+  push(in_element(1, 1, 1));
+  push(in_element(1, 1, 1));  // (ordinary, node on one axis),
+  p = in_element(1, 1, 1);
+  p.y = 0.5;
+  push(p);
+  push(in_element(1, 1, 1));  // (ordinary, ordinary)
+  push(in_element(1, 1, 1));
+  push(node);  // odd tail
+  return cloud;
+}
+
+TEST(ParticleBins, MatchPerParticleReferenceAcrossOrdersAndThreads) {
+  for (int n : {2, 3, 6, 11, 26}) {
+    for (int threads : {1, 3}) {
+      BoxSpec spec = small_spec(1, 1, 1, n);
+      cmtbone::comm::run(1, [&](Comm& world) {
+        Partition part(spec, world.rank());
+        auto ops = cmtbone::sem::Operators::build(n);
+        Tracker tracker(world, part, ops);
+        tracker.set_threads(threads);
+        const std::vector<Particle> cloud = oracle_cloud();
+        tracker.adopt_global(cloud);
+        ASSERT_EQ(tracker.local_count(), cloud.size());
+        // The node particle really sits on a node on every axis.
+        EXPECT_EQ(2.0 * (0.5 / 0.5 - 1) - 1.0, ops.rule.nodes[0]);
+        const std::vector<int> count = tracker.count_per_element();
+        EXPECT_EQ(count, (std::vector<int>{64, 65, 141, 0, 0, 0, 1, 11}));
+        const std::size_t pts = std::size_t(n) * n * n * part.nel();
+        expect_binned_matches_reference(
+            tracker, pts,
+            "n=" + std::to_string(n) + " threads=" + std::to_string(threads));
+      });
+    }
+  }
+}
+
+TEST(ParticleBins, MatchPerParticleReferenceAfterMigrationArrivals) {
+  for (int threads : {1, 3}) {
+    BoxSpec spec = small_spec(2, 1, 1, 5);
+    cmtbone::comm::run(2, [&](Comm& world) {
+      Partition part(spec, world.rank());
+      auto ops = cmtbone::sem::Operators::build(spec.n);
+      Tracker tracker(world, part, ops);
+      tracker.set_threads(threads);
+      // Each rank places particles over the whole box; about half belong
+      // to the other rank and arrive there through migrate().
+      cmtbone::util::SplitMix64 rng(90 + world.rank());
+      auto& ps = tracker.mutable_particles();
+      ps.clear();
+      for (int i = 0; i < 300; ++i) {
+        ps.push_back({world.rank() + 2LL * ((i * 37) % 300), rng.uniform(),
+                      rng.uniform(), rng.uniform()});
+      }
+      tracker.migrate();
+      EXPECT_GT(tracker.last_migrated(), 0u);
+      EXPECT_EQ(tracker.total_count(), 600);
+      const std::size_t pts =
+          std::size_t(spec.n) * spec.n * spec.n * part.nel();
+      expect_binned_matches_reference(
+          tracker, pts,
+          "rank=" + std::to_string(world.rank()) +
+              " threads=" + std::to_string(threads));
+    });
+  }
 }
 
 // --- driver coupling -----------------------------------------------------------
